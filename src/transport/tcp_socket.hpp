@@ -6,19 +6,24 @@
 // carrying several same-channel messages — the receiver distinguishes the
 // two by the body's first byte. Frames above a sanity cap are treated as
 // corruption.
+//
+// A frame is built in one buffer: begin_frame() reserves the length prefix,
+// the codec appends the body behind it, and write_frame_body() patches the
+// prefix in and ships the whole frame with a single send().
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
-
-#include "proto/message.hpp"
 
 namespace hlock::transport {
 
-/// Largest accepted frame; the biggest legal message (a token with a full
-/// queue) is far below this, and so is a full batch of them.
+/// Largest accepted frame body; the biggest legal message (a token with a
+/// full queue) is far below this. Senders split larger batches.
 inline constexpr std::uint32_t kMaxFrameBytes = 1 << 20;
+
+/// Bytes of the length prefix in front of every frame body.
+inline constexpr std::size_t kFrameHeaderBytes = 4;
 
 /// Binds and listens on 127.0.0.1:`port` (0 = ephemeral). Returns the fd.
 /// Throws UsageError on failure.
@@ -31,22 +36,15 @@ std::uint16_t local_port(int fd);
 /// Throws UsageError on failure.
 int connect_loopback(std::uint16_t port);
 
-/// Writes one framed message; false on error or peer close.
-bool write_frame(int fd, const proto::Message& message);
+/// Clears `frame` and reserves its length prefix; append the body next.
+void begin_frame(std::vector<std::byte>& frame);
 
-/// Writes one length-prefixed frame around a pre-encoded body (a single
-/// message or a batch envelope); false on error, peer close, or a body
-/// above kMaxFrameBytes.
-bool write_frame_body(int fd, const std::vector<std::byte>& body);
+/// The body length a frame's prefix announces.
+std::uint32_t frame_length(const std::byte* header);
 
-/// Reads one framed message; nullopt on clean close, error, oversized or
-/// undecodable frame. Rejects batch frames — use read_frame_messages on
-/// connections that may carry them.
-std::optional<proto::Message> read_frame(int fd);
-
-/// Reads one frame and decodes every message it carries (one for a single
-/// frame, several for a batch envelope), preserving order. nullopt on clean
-/// close, error, oversized or undecodable frame.
-std::optional<std::vector<proto::Message>> read_frame_messages(int fd);
+/// Patches the length prefix of a frame begun with begin_frame() and
+/// writes the whole frame with one send(); false on error, peer close, or
+/// a body that is empty or above kMaxFrameBytes.
+bool write_frame_body(int fd, std::vector<std::byte>& frame);
 
 }  // namespace hlock::transport

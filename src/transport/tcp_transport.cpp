@@ -1,276 +1,49 @@
 #include "transport/tcp_transport.hpp"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <span>
-#include <thread>
-
-#include "proto/codec.hpp"
 #include "transport/tcp_socket.hpp"
 #include "util/check.hpp"
-#include "util/log.hpp"
 
 namespace hlock::transport {
 
-TcpTransport::TcpTransport(std::size_t node_count, TcpOptions options)
-    : options_(options) {
+TcpTransport::TcpTransport(std::size_t node_count, TcpOptions options) {
   HLOCK_REQUIRE(node_count >= 1, "a transport needs at least one node");
-  HLOCK_REQUIRE(options_.max_send_attempts >= 1,
-                "a send needs at least one attempt");
   nodes_.reserve(node_count);
-  for (std::size_t i = 0; i < node_count; ++i) {
-    auto endpoint = std::make_unique<NodeEndpoint>();
-    endpoint->listen_fd = listen_loopback(0);
-    endpoint->port = local_port(endpoint->listen_fd);
-    nodes_.push_back(std::move(endpoint));
+  for (std::uint32_t i = 0; i < node_count; ++i) {
+    nodes_.push_back(std::make_unique<TcpNode>(
+        proto::NodeId{i}, listen_loopback(0), std::vector<TcpPeer>{}, options,
+        &traffic_));
   }
-  for (std::size_t i = 0; i < node_count; ++i) {
-    nodes_[i]->acceptor =
-        sched::Thread("tcp-acceptor", [this, i] { acceptor_loop(i); });
-  }
-}
-
-TcpTransport::~TcpTransport() {
-  shutdown();
-  for (auto& endpoint : nodes_) {
-    if (endpoint->acceptor.joinable()) endpoint->acceptor.join();
-  }
-  MutexLock guard(readers_mutex_);
-  for (sched::Thread& reader : readers_) {
-    if (reader.joinable()) reader.join();
+  for (const auto& node : nodes_) {
+    for (const auto& peer : nodes_) {
+      if (peer != node) node->add_peer({peer->self(), peer->port()});
+    }
   }
 }
 
-std::uint16_t TcpTransport::port_of(proto::NodeId node) const {
+TcpNode& TcpTransport::node_of(proto::NodeId node) const {
   HLOCK_REQUIRE(node.value() < nodes_.size(), "unknown node id");
-  return nodes_[node.value()]->port;
+  return *nodes_[node.value()];
 }
 
-void TcpTransport::acceptor_loop(std::size_t node) {
-  for (;;) {
-    int fd = -1;
-    {
-      // accept() blocks outside the sync layer; bracketed so it cannot
-      // stall an explored schedule (docs/sched.md).
-      sched::BlockingRegion region;
-      fd = ::accept(nodes_[node]->listen_fd, nullptr, nullptr);
-    }
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener closed during shutdown
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    MutexLock guard(readers_mutex_);
-    readers_.emplace_back(
-        sched::Thread("tcp-reader", [this, node, fd] { reader_loop(node, fd); }));
-  }
-}
-
-void TcpTransport::reader_loop(std::size_t node, int fd) {
-  for (;;) {
-    std::optional<std::vector<proto::Message>> messages;
-    {
-      // The frame read blocks on the socket, outside the sync layer.
-      sched::BlockingRegion region;
-      messages = read_frame_messages(fd);
-    }
-    if (!messages) break;
-    // A batch frame unpacks in emission order; pushing its messages under
-    // one mailbox lock preserves exactly the order a per-message sender
-    // would have produced.
-    std::vector<proto::Message> deliverable;
-    deliverable.reserve(messages->size());
-    for (proto::Message& message : *messages) {
-      if (message.to.value() != node) {
-        // A misaddressed frame is the sender's bug, not this connection's:
-        // discard the one message and keep the channel alive — dropping the
-        // connection would silently sever every later message on it.
-        counters_.misaddressed_frames.fetch_add(1,
-                                                std::memory_order_relaxed);
-        HLOCK_LOG(kWarn, "tcp: frame addressed to "
-                             << to_string(message.to)
-                             << " arrived at node " << node
-                             << "; frame discarded");
-        continue;
-      }
-      deliverable.push_back(std::move(message));
-    }
-    nodes_[node]->inbox.push_all(std::move(deliverable),
-                                 Mailbox::Clock::now());
-  }
-  ::close(fd);
-}
-
-int TcpTransport::channel_fd(std::uint32_t /*from*/, std::uint32_t to) {
-  // Caller holds the channel's send mutex; this only creates the socket.
-  return connect_loopback(nodes_[to]->port);
-}
-
-TcpTransport::Channel& TcpTransport::channel_of(proto::NodeId from,
-                                                proto::NodeId to) {
-  MutexLock guard(channels_mutex_);
-  auto& slot = channels_[{from.value(), to.value()}];
-  if (!slot) slot = std::make_unique<Channel>();
-  return *slot;
-}
-
-bool TcpTransport::send_frame(proto::NodeId from, proto::NodeId to,
-                              const std::vector<std::byte>& body,
-                              std::uint64_t message_count) {
-  Channel& channel = channel_of(from, to);
-
-  // Retry with exponential backoff, reconnecting on the way: a transient
-  // write failure (peer reset, severed channel) must never escape as an
-  // exception — callers include receiver threads, where an escaped
-  // exception would std::terminate the whole process.
-  MutexLock guard(channel.send_mutex);
-  std::chrono::milliseconds backoff = options_.initial_backoff;
-  for (int attempt = 0; attempt < options_.max_send_attempts; ++attempt) {
-    if (stopping_.load()) return false;
-    if (attempt > 0) {
-      counters_.send_retries.fetch_add(1, std::memory_order_relaxed);
-      {
-        // A real-time backoff sleep must not stall an explored schedule.
-        sched::BlockingRegion region;
-        std::this_thread::sleep_for(backoff);
-      }
-      backoff = std::min(backoff * 2, options_.max_backoff);
-    }
-    if (channel.fd < 0) {
-      try {
-        sched::BlockingRegion region;
-        channel.fd = channel_fd(from.value(), to.value());
-        if (attempt > 0) {
-          counters_.reconnects.fetch_add(1, std::memory_order_relaxed);
-        }
-      } catch (const UsageError&) {
-        continue;  // destination not accepting right now; back off, retry
-      }
-    }
-    bool wrote = false;
-    {
-      sched::BlockingRegion region;
-      wrote = write_frame_body(channel.fd, body);
-    }
-    if (wrote) {
-      sent_.fetch_add(message_count, std::memory_order_relaxed);
-      bytes_.fetch_add(body.size() + 4, std::memory_order_relaxed);
-      return true;
-    }
-    ::close(channel.fd);
-    channel.fd = -1;
-  }
-  counters_.send_failures.fetch_add(1, std::memory_order_relaxed);
-  HLOCK_LOG(kError, "tcp: send to node " << to.value() << " failed after "
-                                         << options_.max_send_attempts
-                                         << " attempts; frame dropped");
-  return false;
-}
-
-void TcpTransport::send(const proto::Message& message) {
-  if (stopping_.load()) return;
-  HLOCK_REQUIRE(message.to.value() < nodes_.size(), "unknown node id");
-  HLOCK_REQUIRE(!message.from.is_none(), "message without a sender");
-  // One scratch buffer per sending thread: the wire image of the steady
-  // state allocates nothing.
-  thread_local std::vector<std::byte> scratch;
-  scratch.clear();
-  proto::encode_into(message, scratch);
-  send_frame(message.from, message.to, scratch, 1);
-}
-
-void TcpTransport::send_batch(std::vector<proto::Message> messages) {
-  if (messages.empty()) return;
-  if (!options_.batching) {
-    for (const proto::Message& message : messages) send(message);
-    return;
-  }
-  if (stopping_.load()) return;
-  // Coalesce consecutive same-channel runs into one batch frame each; runs
-  // never reorder, so TCP's in-order channel keeps per-channel FIFO intact.
+void TcpTransport::send_all(std::span<const proto::Message> messages) {
+  // Each same-sender run goes through its sender's endpoint.
   std::size_t begin = 0;
   while (begin < messages.size()) {
-    std::size_t end = begin + 1;
-    while (end < messages.size() &&
-           messages[end].from == messages[begin].from &&
-           messages[end].to == messages[begin].to) {
+    std::size_t end = begin;
+    do {
+      HLOCK_REQUIRE(messages[end].to.value() < nodes_.size(),
+                    "unknown node id");
       ++end;
-    }
-    if (end - begin == 1) {
-      send(messages[begin]);
-    } else {
-      const proto::Message& head = messages[begin];
-      HLOCK_REQUIRE(head.to.value() < nodes_.size(), "unknown node id");
-      HLOCK_REQUIRE(!head.from.is_none(), "message without a sender");
-      thread_local std::vector<std::byte> scratch;
-      scratch.clear();
-      proto::encode_batch_into(
-          std::span<const proto::Message>{messages.data() + begin,
-                                          end - begin},
-          scratch);
-      send_frame(head.from, head.to, scratch, end - begin);
-    }
+    } while (end < messages.size() &&
+             messages[end].from == messages[begin].from);
+    node_of(messages[begin].from)
+        .send_all(messages.subspan(begin, end - begin));
     begin = end;
   }
 }
 
-bool TcpTransport::sever_channel(proto::NodeId from, proto::NodeId to) {
-  Channel* channel = nullptr;
-  {
-    MutexLock guard(channels_mutex_);
-    const auto it = channels_.find({from.value(), to.value()});
-    if (it == channels_.end()) return false;
-    channel = it->second.get();
-  }
-  MutexLock guard(channel->send_mutex);
-  if (channel->fd < 0) return false;
-  // Half-kill the socket but leave the stale fd in place: the sender only
-  // discovers the failure when its next write returns an error.
-  ::shutdown(channel->fd, SHUT_RDWR);
-  return true;
-}
-
-std::optional<proto::Message> TcpTransport::recv(proto::NodeId node) {
-  HLOCK_REQUIRE(node.value() < nodes_.size(), "unknown node id");
-  return nodes_[node.value()]->inbox.pop();
-}
-
-std::vector<proto::Message> TcpTransport::recv_ready(proto::NodeId node) {
-  HLOCK_REQUIRE(node.value() < nodes_.size(), "unknown node id");
-  return nodes_[node.value()]->inbox.pop_all_ready();
-}
-
-std::optional<proto::Message> TcpTransport::recv_for(
-    proto::NodeId node, std::chrono::milliseconds timeout) {
-  HLOCK_REQUIRE(node.value() < nodes_.size(), "unknown node id");
-  return nodes_[node.value()]->inbox.pop_until(Mailbox::Clock::now() +
-                                               timeout);
-}
-
 void TcpTransport::shutdown() {
-  if (stopping_.exchange(true)) return;
-  for (auto& endpoint : nodes_) {
-    // Closing the listener wakes the acceptor; shutdown() on it first is
-    // portable across accept() implementations.
-    ::shutdown(endpoint->listen_fd, SHUT_RDWR);
-    ::close(endpoint->listen_fd);
-    endpoint->inbox.close();
-  }
-  MutexLock guard(channels_mutex_);
-  for (auto& [key, channel] : channels_) {
-    MutexLock send_guard(channel->send_mutex);
-    if (channel->fd >= 0) {
-      ::shutdown(channel->fd, SHUT_RDWR);
-      ::close(channel->fd);
-      channel->fd = -1;
-    }
-  }
+  for (auto& node : nodes_) node->shutdown();
 }
 
 }  // namespace hlock::transport

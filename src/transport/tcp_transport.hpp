@@ -1,143 +1,88 @@
-// TCP loopback transport — the protocol over real sockets.
-//
-// Each node binds a listening socket on 127.0.0.1 (ephemeral port);
-// senders open one persistent connection per ordered (from, to) channel on
-// first use, matching the paper's Linux-testbed deployment ("connected by
-// a full-duplex FastEther switch utilized through TCP/IP"). Messages are
-// wire frames: a 4-byte little-endian length prefix followed by either one
-// binary codec encoding or a batch envelope coalescing the same-channel
-// messages of one burst (proto::kBatchMarker) — one frame, one syscall,
-// instead of one per message. Per-connection reader threads decode frames
-// into the destination's mailbox; TCP's in-order delivery provides the
-// per-channel FIFO the protocol relies on, and batches unpack in emission
-// order so coalescing is invisible above the transport.
-//
-// All nodes live in one process here (the testing substrate for a real
-// distributed deployment); nothing in the wire format or the socket
-// handling assumes shared memory.
+// TCP loopback transport — the protocol over real sockets, all nodes in
+// one process: N TcpNode endpoints (tcp_node.hpp) that know each other's
+// ports and share one set of traffic counters. Each node's receiver polls
+// that node's own sockets, so the transport starts no threads at all. This
+// is the paper's Linux testbed in miniature ("connected by a full-duplex
+// FastEther switch utilized through TCP/IP"); nothing in the wire format or
+// the socket handling assumes shared memory.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
-#include "stats/metrics.hpp"
-#include "transport/mailbox.hpp"
-#include "transport/transport.hpp"
-#include "util/sync.hpp"
+#include "transport/tcp_node.hpp"
 
 namespace hlock::transport {
-
-/// Send-path retry policy of the TCP transport. A failed write closes the
-/// channel and retries with exponential backoff — reconnecting on the way —
-/// instead of terminating the process on the first transient failure.
-struct TcpOptions {
-  /// Total write attempts per message (first try included).
-  int max_send_attempts = 5;
-  /// Backoff before the first retry; doubles per retry up to `max_backoff`.
-  std::chrono::milliseconds initial_backoff{1};
-  std::chrono::milliseconds max_backoff{50};
-  /// Coalesce same-channel messages of one send_batch() call into a single
-  /// batch frame (protocol-invisible; off = one frame per message).
-  bool batching = true;
-};
 
 /// See file comment.
 class TcpTransport final : public Transport {
  public:
-  /// Binds `node_count` listeners on loopback and starts their acceptor
-  /// threads. Throws UsageError if sockets cannot be created.
+  /// Binds `node_count` listeners on loopback. Throws UsageError if
+  /// sockets cannot be created.
   explicit TcpTransport(std::size_t node_count, TcpOptions options = {});
 
-  /// Joins all socket threads.
-  ~TcpTransport() override;
-
-  void send(const proto::Message& message) override
-      HLOCK_EXCLUDES(channels_mutex_);
-  /// Ships a burst; same-channel runs travel as single batch frames when
+  void send(const proto::Message& message) override {
+    send_all({&message, 1});
+  }
+  /// Ships a burst; same-channel runs travel as batch frames when
   /// options.batching is set.
-  void send_batch(std::vector<proto::Message> messages) override
-      HLOCK_EXCLUDES(channels_mutex_);
-  std::optional<proto::Message> recv(proto::NodeId node) override;
-  /// Drains every already-delivered message for `node` in one mailbox lock
-  /// acquisition (empty once shut down and drained).
-  std::vector<proto::Message> recv_ready(proto::NodeId node) override;
+  void send_batch(std::vector<proto::Message> messages) override {
+    send_all(messages);
+  }
+  std::optional<proto::Message> recv(proto::NodeId node) override {
+    return node_of(node).recv(node);
+  }
+  /// Returns every message one poll of `node`'s sockets decodes (empty
+  /// once shut down and drained).
+  std::vector<proto::Message> recv_ready(proto::NodeId node) override {
+    return node_of(node).recv_ready(node);
+  }
   std::optional<proto::Message> recv_for(
-      proto::NodeId node, std::chrono::milliseconds timeout) override;
-  void shutdown() override HLOCK_EXCLUDES(channels_mutex_);
-  std::uint64_t messages_sent() const override { return sent_.load(); }
+      proto::NodeId node, std::chrono::milliseconds timeout) override {
+    return node_of(node).recv_for(node, timeout);
+  }
+  void shutdown() override;
+  std::uint64_t messages_sent() const override {
+    return traffic_.messages.load(std::memory_order_relaxed);
+  }
   /// Frame bytes written (length prefixes included).
-  std::uint64_t bytes_sent() const override { return bytes_.load(); }
+  std::uint64_t bytes_sent() const override {
+    return traffic_.bytes.load(std::memory_order_relaxed);
+  }
 
   /// The loopback port node `node` listens on (diagnostics).
-  std::uint16_t port_of(proto::NodeId node) const;
+  std::uint16_t port_of(proto::NodeId node) const {
+    return node_of(node).port();
+  }
 
   std::size_t node_count() const { return nodes_.size(); }
 
   /// Retry, reconnect, and bad-frame counters, live.
-  const stats::TransportCounters& counters() const { return counters_; }
-
-  /// Messages decoded into `node`'s inbox but not yet received.
-  std::size_t inbox_depth(proto::NodeId node) const override {
-    return node.value() < nodes_.size() ? nodes_[node.value()]->inbox.size()
-                                        : 0;
+  const stats::TransportCounters& counters() const {
+    return traffic_.counters;
   }
 
-  /// Chaos hook: severs the established (from, to) connection at the
-  /// socket level without telling the sender, so the next send on the
-  /// channel fails and exercises the retry/reconnect path. Returns false
-  /// if the channel has no live connection yet.
-  bool sever_channel(proto::NodeId from, proto::NodeId to)
-      HLOCK_EXCLUDES(channels_mutex_);
+  /// Messages decoded from `node`'s sockets but not yet received.
+  std::size_t inbox_depth(proto::NodeId node) const override {
+    return node.value() < nodes_.size()
+               ? nodes_[node.value()]->inbox_depth(node)
+               : 0;
+  }
+
+  /// Chaos hook (TcpNode::sever_channel on node `from`). Returns false if
+  /// the channel has no live connection yet.
+  bool sever_channel(proto::NodeId from, proto::NodeId to) {
+    return node_of(from).sever_channel(to);
+  }
 
  private:
-  struct NodeEndpoint {
-    int listen_fd = -1;
-    std::uint16_t port = 0;
-    Mailbox inbox;
-    /// sched::Thread so the schedule explorer sees the thread's lifecycle;
-    /// the socket operations themselves run in BlockingRegions.
-    sched::Thread acceptor;
-  };
+  TcpNode& node_of(proto::NodeId node) const;
+  void send_all(std::span<const proto::Message> messages);
 
-  struct Channel {
-    /// Serializes writes on the (from, to) connection and guards its fd.
-    Mutex send_mutex;
-    int fd HLOCK_GUARDED_BY(send_mutex) = -1;
-  };
-
-  void acceptor_loop(std::size_t node);
-  void reader_loop(std::size_t node, int fd);
-  /// Returns (creating on demand) the connection fd for a channel;
-  /// guarded by the channel's send mutex.
-  int channel_fd(std::uint32_t from, std::uint32_t to);
-  /// The channel record for (from, to), created on first use.
-  Channel& channel_of(proto::NodeId from, proto::NodeId to)
-      HLOCK_EXCLUDES(channels_mutex_);
-  /// Writes one pre-encoded frame body on the channel with the retry /
-  /// backoff / reconnect policy; counts `message_count` logical messages on
-  /// success. False once every attempt failed (frame dropped + counted).
-  bool send_frame(proto::NodeId from, proto::NodeId to,
-                  const std::vector<std::byte>& body,
-                  std::uint64_t message_count);
-
-  /// Options and endpoints are immutable after construction (the endpoint
-  /// mailboxes are themselves thread-safe).
-  TcpOptions options_;
-  std::vector<std::unique_ptr<NodeEndpoint>> nodes_;
-  Mutex channels_mutex_;
-  std::map<std::pair<std::uint32_t, std::uint32_t>,
-           std::unique_ptr<Channel>>
-      channels_ HLOCK_GUARDED_BY(channels_mutex_);
-  std::vector<sched::Thread> readers_ HLOCK_GUARDED_BY(readers_mutex_);
-  Mutex readers_mutex_;
-  std::atomic<std::uint64_t> sent_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<bool> stopping_{false};
-  stats::TransportCounters counters_;
+  TcpTraffic traffic_;
+  /// Declared after traffic_, which the nodes count into.
+  std::vector<std::unique_ptr<TcpNode>> nodes_;
 };
 
 }  // namespace hlock::transport

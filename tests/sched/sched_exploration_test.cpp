@@ -167,5 +167,23 @@ TEST(SchedExploration, TcpReconnectAfterSeveredChannel) {
       options);
 }
 
+TEST(SchedExploration, TcpShutdownWakesReceiverParkedInPoll) {
+  // The receiver polls its node's sockets itself; shutdown() must wake it
+  // whether it is already parked in epoll_wait, about to park, or not yet
+  // polling at all.
+  sched_test::ExploreOptions options;
+  options.seeds = 8;
+  sched_test::explore(
+      [] {
+        transport::TcpTransport transport{2};
+        sched::Thread receiver("receiver", [&transport] {
+          EXPECT_TRUE(transport.recv_ready(NodeId{1}).empty());
+        });
+        transport.shutdown();
+        receiver.join();
+      },
+      options);
+}
+
 }  // namespace
 }  // namespace hlock

@@ -178,6 +178,50 @@ TEST(TcpNode, PairwiseMessagingWithinOneProcess) {
       std::holds_alternative<proto::NaimiToken>(at_a->payload));
 }
 
+TEST(TcpNode, SurvivesSeveredChannelThroughReconnect) {
+  TcpNode a{NodeId{0}};
+  TcpNode b{NodeId{1}};
+  a.add_peer({NodeId{1}, b.port()});
+  const auto naimi_request = [](std::uint64_t seq) {
+    return proto::Message{NodeId{0}, NodeId{1}, kLock,
+                          proto::NaimiRequest{NodeId{0}, seq}};
+  };
+  a.send(naimi_request(1));
+  ASSERT_TRUE(b.recv_for(NodeId{1}, std::chrono::milliseconds(2000))
+                  .has_value());
+
+  ASSERT_TRUE(a.sever_channel(NodeId{1}));
+  a.send(naimi_request(2));
+  const auto second = b.recv_for(NodeId{1}, std::chrono::milliseconds(2000));
+  ASSERT_TRUE(second.has_value()) << "sender did not recover the channel";
+  EXPECT_EQ(std::get<proto::NaimiRequest>(second->payload).seq, 2u);
+  EXPECT_EQ(a.messages_sent(), 2u);
+  const auto counters = a.counters().snapshot();
+  EXPECT_GE(counters.send_retries, 1u);
+  EXPECT_GE(counters.reconnects, 1u);
+  EXPECT_EQ(counters.send_failures, 0u);
+}
+
+TEST(TcpNode, BatchFrameAndInboxDepth) {
+  TcpNode a{NodeId{0}};
+  TcpNode b{NodeId{1}};
+  a.add_peer({NodeId{1}, b.port()});
+  std::vector<proto::Message> batch;
+  for (std::uint64_t seq = 0; seq < 3; ++seq) {
+    batch.push_back(proto::Message{NodeId{0}, NodeId{1}, kLock,
+                                   proto::NaimiRequest{NodeId{0}, seq}});
+  }
+  a.send_batch(batch);
+  const auto first = b.recv_for(NodeId{1}, std::chrono::milliseconds(2000));
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(b.inbox_depth(NodeId{1}), 2u) << "the rest of the batch frame";
+  const std::vector<proto::Message> rest = b.recv_ready(NodeId{1});
+  ASSERT_EQ(rest.size(), 2u);
+  EXPECT_EQ(rest[1], batch[2]);
+  EXPECT_EQ(b.inbox_depth(NodeId{1}), 0u);
+  EXPECT_EQ(a.messages_sent(), 3u);
+}
+
 TEST(TcpNode, Contracts) {
   TcpNode node{NodeId{3}};
   EXPECT_THROW(node.recv_for(NodeId{1}, std::chrono::milliseconds(1)),
