@@ -232,6 +232,17 @@ inline bool is_recovery_kind(MessageKind kind) {
   return kind >= MessageKind::kHeartbeat;
 }
 
+/// True for the payload kinds on an acquire's critical path: the requests
+/// and the grants/tokens that answer them. Only these may be delivered
+/// inline by their sender (docs/transports.md, run-to-completion delivery);
+/// releases, freezes and recovery traffic always go through the receiver.
+inline bool is_critical_path_kind(MessageKind kind) {
+  return kind == MessageKind::kHierRequest ||
+         kind == MessageKind::kHierGrant || kind == MessageKind::kHierToken ||
+         kind == MessageKind::kNaimiRequest ||
+         kind == MessageKind::kNaimiToken;
+}
+
 /// Returns the discriminator of a payload.
 MessageKind kind_of(const Payload& payload);
 

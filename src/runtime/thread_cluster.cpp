@@ -29,6 +29,27 @@ std::unique_ptr<LockEngine> make_engine(const ThreadClusterOptions& options,
   return engine;
 }
 
+/// Brackets a blocking call with the stall watchdog and ends the bracket on
+/// every exit path — a call that throws (crash-stopped node, engine usage
+/// error) must not leave a pending entry the watchdog later flags.
+class StallBracket {
+ public:
+  template <typename Label>
+  StallBracket(telemetry::StallWatchdog* watchdog, const Label& label)
+      : watchdog_(watchdog) {
+    if (watchdog_ != nullptr) key_ = watchdog_->begin(label());
+  }
+  ~StallBracket() {
+    if (watchdog_ != nullptr) watchdog_->end(key_);
+  }
+  StallBracket(const StallBracket&) = delete;
+  StallBracket& operator=(const StallBracket&) = delete;
+
+ private:
+  telemetry::StallWatchdog* watchdog_;
+  std::uint64_t key_ = 0;
+};
+
 }  // namespace
 
 ThreadCluster::ThreadCluster(const ThreadClusterOptions& options)
@@ -42,10 +63,12 @@ ThreadCluster::ThreadCluster(const ThreadClusterOptions& options)
     tcp_ = tcp.get();
     transport_ = std::move(tcp);
   } else {
-    transport_ = std::make_unique<transport::InProcTransport>(
+    auto inproc = std::make_unique<transport::InProcTransport>(
         transport::InProcOptions{options.node_count, options.message_latency,
                                  options.seed, options.codec_roundtrip,
                                  options.batching});
+    inproc_ = inproc.get();
+    transport_ = std::move(inproc);
   }
   if (options.faults.any()) {
     transport::FaultPlan plan = options.faults;
@@ -77,6 +100,8 @@ ThreadCluster::ThreadCluster(const ThreadClusterOptions& options)
           telemetry::labeled("hlock_recv_batch_size",
                              {{"node", std::to_string(i)}}),
           telemetry::linear_bounds(1.0, 1.0, 16));
+      rt->inline_batches = &metrics_->counter(telemetry::labeled(
+          "hlock_inline_batches_total", {{"node", std::to_string(i)}}));
     }
     rt->shards.reserve(shard_count_);
     for (std::size_t s = 0; s < shard_count_; ++s) {
@@ -221,6 +246,10 @@ ThreadCluster::NodeRuntime& ThreadCluster::runtime_of(NodeId node) {
 
 void ThreadCluster::receiver_loop(NodeId node) {
   NodeRuntime& rt = runtime_of(node);
+  // A receiver opens no InlineScope: it serves its own node only. Drafting
+  // it into another node's drain would leave its own mailbox claimed and
+  // unserved meanwhile (airline-local's acquire_p50_us rose ~10% when it
+  // did).
   for (;;) {
     // One transport call drains every matured message (one mailbox lock
     // acquisition for the whole burst); an empty batch means shutdown.
@@ -236,47 +265,63 @@ void ThreadCluster::receiver_loop(NodeId node) {
     // in between the drain and the dispatch (shutdown/close races live
     // exactly there).
     sched::yield_point("thread_cluster.recv-batch");
-    // Dispatch consecutive same-shard runs under one shard lock
-    // acquisition, moving each message straight into delivery — batches
-    // never cross shards out of order, preserving per-channel FIFO.
-    std::size_t i = 0;
-    while (i < batch.size()) {
-      Shard& shard = shard_of(rt, batch[i].lock);
-      MutexLock guard(shard.mutex);
-      do {
-        // Crash-stop taken mid-batch: stop dispatching immediately so the
-        // crashed node cannot keep replying (and emitting old-epoch
-        // traffic) for the rest of the batch.
-        if (!rt.alive.load(std::memory_order_acquire)) return;
-        proto::Message& message = batch[i];
-        // An exception escaping a std::thread calls std::terminate, so a
-        // receiver converts failures into a counted, logged error effect
-        // and keeps draining its mailbox.
-        try {
-          rt.clock.observe(message.lamport);
-          if (recovery_.enabled) {
-            rt.manager->note_alive(message.from, wall_now());
-            if (proto::is_recovery_kind(proto::kind_of(message.payload))) {
-              apply_outcome(rt, shard,
-                            rt.manager->on_message(message, wall_now()));
-            } else {
-              deliver_protocol(rt, shard, message);
-            }
-          } else {
-            Effects effects = shard.engine->deliver(message);
-            apply(rt, shard, message.lock, std::move(effects));
-          }
-        } catch (const std::exception& error) {
-          receiver_errors_.fetch_add(1, std::memory_order_relaxed);
-          HLOCK_LOG(kError, "node " << node.value()
-                                    << ": error applying message: "
-                                    << error.what());
-        }
-        ++i;
-      } while (i < batch.size() &&
-               &shard_of(rt, batch[i].lock) == &shard);
-    }
+    if (!dispatch_batch(rt, node, batch)) return;
   }
+}
+
+bool ThreadCluster::dispatch_batch(NodeRuntime& rt, NodeId node,
+                                   std::vector<proto::Message>& batch) {
+  // Dispatch consecutive same-shard runs under one shard lock
+  // acquisition, moving each message straight into delivery — batches
+  // never cross shards out of order, preserving per-channel FIFO.
+  std::size_t i = 0;
+  while (i < batch.size()) {
+    Shard& shard = shard_of(rt, batch[i].lock);
+    MutexLock guard(shard.mutex);
+    do {
+      // A crash-stopped node discards the batch unread; one taken
+      // mid-batch stops dispatching immediately so the crashed node cannot
+      // keep replying (and emitting old-epoch traffic).
+      if (!rt.alive.load(std::memory_order_acquire)) return false;
+      proto::Message& message = batch[i];
+      // An exception escaping a std::thread calls std::terminate, so
+      // failures become a counted, logged error and the drain goes on.
+      try {
+        rt.clock.observe(message.lamport);
+        if (recovery_.enabled) {
+          rt.manager->note_alive(message.from, wall_now());
+          if (proto::is_recovery_kind(proto::kind_of(message.payload))) {
+            apply_outcome(rt, shard,
+                          rt.manager->on_message(message, wall_now()));
+          } else {
+            deliver_protocol(rt, shard, message);
+          }
+        } else {
+          Effects effects = shard.engine->deliver(message);
+          apply(rt, shard, message.lock, std::move(effects));
+        }
+      } catch (const std::exception& error) {
+        receiver_errors_.fetch_add(1, std::memory_order_relaxed);
+        HLOCK_LOG(kError, "node " << node.value()
+                                  << ": error applying message: "
+                                  << error.what());
+      }
+      ++i;
+    } while (i < batch.size() && &shard_of(rt, batch[i].lock) == &shard);
+  }
+  return true;
+}
+
+void ThreadCluster::drain_inline(
+    transport::InProcTransport::InlineScope& scope) {
+  scope.drain([this](NodeId node, std::vector<proto::Message>& batch) {
+    NodeRuntime& rt = *nodes_[node.value()];
+    if (rt.recv_batch != nullptr && rt.alive.load(std::memory_order_acquire)) {
+      rt.recv_batch->record(static_cast<double>(batch.size()));
+      rt.inline_batches->inc();
+    }
+    dispatch_batch(rt, node, batch);
+  });
 }
 
 SimTime ThreadCluster::wall_now() const {
@@ -485,85 +530,100 @@ void ThreadCluster::apply(NodeRuntime& rt, Shard& shard, LockId lock,
   }
 }
 
-void ThreadCluster::lock(NodeId node, LockId lock, LockMode mode,
-                         std::uint8_t priority) {
+template <typename Label, typename Step>
+void ThreadCluster::run_blocking(NodeId node, LockId lock, const Label& label,
+                                 std::unordered_set<LockId> Shard::*done,
+                                 const Step& step) {
   NodeRuntime& rt = runtime_of(node);
   Shard& shard = shard_of(rt, lock);
   // Watchdog bracket around the whole blocking wait. begin() before the
-  // shard mutex (it takes the watchdog's own); end() under it is fine —
-  // shard -> watchdog is the only order these two ever compose in.
-  std::uint64_t stall_key = 0;
-  if (watchdog_ != nullptr) {
-    stall_key = watchdog_->begin(
-        "node=" + std::to_string(node.value()) +
-        " lock=" + std::to_string(lock.value()) +
-        " mode=" + proto::to_string(mode));
-  }
+  // shard mutex (it takes the watchdog's own); end() after it.
+  const StallBracket stall(watchdog_, label);
   sched::yield_point("thread_cluster.lock");
-  MutexLock guard(shard.mutex);
-  HLOCK_REQUIRE(rt.alive.load(std::memory_order_acquire),
-                "node has crash-stopped");
-  // Halted nodes (suspicion raised, fences pending) block application
-  // progress until recovery completes; a crash or teardown while waiting
-  // returns spuriously, same as the destructor contract.
-  wait_unhalted(rt, shard);
-  if (stopping_ || !rt.alive.load(std::memory_order_acquire)) {
-    if (watchdog_ != nullptr) watchdog_->end(stall_key);
-    return;
+  // Counted before the request step, so an answer racing the step already
+  // sees this node as waiting and may be delivered inline.
+  transport::InProcTransport::WaitingClient waiting(inproc_, node, lock);
+  transport::InProcTransport::InlineScope inline_scope(inproc_);
+  {
+    MutexLock guard(shard.mutex);
+    HLOCK_REQUIRE(rt.alive.load(std::memory_order_acquire),
+                  "node has crash-stopped");
+    // Halted nodes (suspicion raised, fences pending) block application
+    // progress until recovery completes; a crash or teardown while waiting
+    // returns spuriously, same as the destructor contract.
+    wait_unhalted(rt, shard);
+    if (stopping_ || !rt.alive.load(std::memory_order_acquire)) {
+      waiting.end();  // under the mutex: teardown may free the transport
+      return;
+    }
+    apply(rt, shard, lock, step(*shard.engine));
+    // From here the destructor waits for this call, across the split too.
+    ++shard.waiters;
+    // Nothing claimed (local grant, TCP): one critical section, as before.
+    if (!inline_scope.claimed()) {
+      finish_wait(rt, shard, shard.*done, lock, waiting);
+      return;
+    }
   }
-  Effects effects = shard.engine->request(lock, mode, priority);
-  apply(rt, shard, lock, std::move(effects));
-  ++shard.waiters;
+  // The step claimed mailboxes: run their protocol steps on this thread,
+  // outside our shard mutex, then wait (usually the grant is already in).
+  drain_inline(inline_scope);
+  MutexLock guard(shard.mutex);
+  finish_wait(rt, shard, shard.*done, lock, waiting);
+}
+
+void ThreadCluster::finish_wait(
+    NodeRuntime& rt, Shard& shard, std::unordered_set<LockId>& done,
+    LockId lock, transport::InProcTransport::WaitingClient& waiting) {
   while (!stopping_ && rt.alive.load(std::memory_order_acquire) &&
-         shard.granted.count(lock) == 0) {
+         done.count(lock) == 0) {
     shard.cv.wait(shard.mutex);
   }
-  shard.granted.erase(lock);
+  done.erase(lock);
+  waiting.end();
   --shard.waiters;
   shard.cv.notify_all();  // a tearing-down destructor may drain waiters
-  if (watchdog_ != nullptr) watchdog_->end(stall_key);
+}
+
+void ThreadCluster::lock(NodeId node, LockId lock, LockMode mode,
+                         std::uint8_t priority) {
+  run_blocking(
+      node, lock,
+      [&] {
+        return "node=" + std::to_string(node.value()) +
+               " lock=" + std::to_string(lock.value()) +
+               " mode=" + proto::to_string(mode);
+      },
+      &Shard::granted,
+      [&](LockEngine& engine) { return engine.request(lock, mode, priority); });
 }
 
 void ThreadCluster::unlock(NodeId node, LockId lock) {
   NodeRuntime& rt = runtime_of(node);
   Shard& shard = shard_of(rt, lock);
-  MutexLock guard(shard.mutex);
-  HLOCK_REQUIRE(rt.alive.load(std::memory_order_acquire),
-                "node has crash-stopped");
-  wait_unhalted(rt, shard);
-  if (stopping_ || !rt.alive.load(std::memory_order_acquire)) return;
-  Effects effects = shard.engine->release(lock);
-  apply(rt, shard, lock, std::move(effects));
+  transport::InProcTransport::InlineScope inline_scope(inproc_);
+  {
+    MutexLock guard(shard.mutex);
+    HLOCK_REQUIRE(rt.alive.load(std::memory_order_acquire),
+                  "node has crash-stopped");
+    wait_unhalted(rt, shard);
+    if (stopping_ || !rt.alive.load(std::memory_order_acquire)) return;
+    Effects effects = shard.engine->release(lock);
+    apply(rt, shard, lock, std::move(effects));
+  }
+  // A grant or token handed to a waiting node is delivered right here.
+  drain_inline(inline_scope);
 }
 
 void ThreadCluster::upgrade(NodeId node, LockId lock) {
-  NodeRuntime& rt = runtime_of(node);
-  Shard& shard = shard_of(rt, lock);
-  std::uint64_t stall_key = 0;
-  if (watchdog_ != nullptr) {
-    stall_key = watchdog_->begin("node=" + std::to_string(node.value()) +
-                                 " lock=" + std::to_string(lock.value()) +
-                                 " upgrade");
-  }
-  MutexLock guard(shard.mutex);
-  HLOCK_REQUIRE(rt.alive.load(std::memory_order_acquire),
-                "node has crash-stopped");
-  wait_unhalted(rt, shard);
-  if (stopping_ || !rt.alive.load(std::memory_order_acquire)) {
-    if (watchdog_ != nullptr) watchdog_->end(stall_key);
-    return;
-  }
-  Effects effects = shard.engine->upgrade(lock);
-  apply(rt, shard, lock, std::move(effects));
-  ++shard.waiters;
-  while (!stopping_ && rt.alive.load(std::memory_order_acquire) &&
-         shard.upgraded.count(lock) == 0) {
-    shard.cv.wait(shard.mutex);
-  }
-  shard.upgraded.erase(lock);
-  --shard.waiters;
-  shard.cv.notify_all();  // a tearing-down destructor may drain waiters
-  if (watchdog_ != nullptr) watchdog_->end(stall_key);
+  run_blocking(
+      node, lock,
+      [&] {
+        return "node=" + std::to_string(node.value()) +
+               " lock=" + std::to_string(lock.value()) + " upgrade";
+      },
+      &Shard::upgraded,
+      [&](LockEngine& engine) { return engine.upgrade(lock); });
 }
 
 bool ThreadCluster::holds(NodeId node, LockId lock) {

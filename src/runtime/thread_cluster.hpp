@@ -16,6 +16,14 @@
 // shard lock acquisition; outgoing step effects ship through
 // Transport::send_batch so the transport can coalesce same-destination
 // messages into one wire frame. See docs/performance.md.
+//
+// Over InProc, delivery is run-to-completion where a client waits
+// (docs/transports.md): a lock(), upgrade() or unlock() call that sends a
+// request, grant or token toward a node with a blocked lock()/upgrade()
+// claims that node's mailbox, and — after dropping its own shard mutex —
+// dispatches the node's messages itself through the receiver's batch
+// dispatch. An uncontended remote acquire then completes on the client's
+// own thread without waking anyone.
 #pragma once
 
 #include <atomic>
@@ -193,8 +201,9 @@ class ThreadCluster {
     /// consumed by the blocked client call yet.
     std::unordered_set<LockId> granted HLOCK_GUARDED_BY(mutex);
     std::unordered_set<LockId> upgraded HLOCK_GUARDED_BY(mutex);
-    /// Client calls currently blocked on `cv`; the destructor waits for
-    /// this to reach zero so a woken call never touches freed node state.
+    /// Client calls past their request step (draining inline or blocked
+    /// on `cv`); the destructor waits for this to reach zero so such a
+    /// call never touches freed node state.
     int waiters HLOCK_GUARDED_BY(mutex) = 0;
     /// Telemetry gauges (nullptr without a registry), refreshed after every
     /// engine step under this shard's mutex. Value gauges, not callbacks:
@@ -215,9 +224,11 @@ class ThreadCluster {
     /// control receiver interleavings (docs/sched.md); identical to
     /// std::thread when no observer is installed.
     sched::Thread receiver;
-    /// Receive-batch-size histogram (nullptr without a registry); set
-    /// before the receiver thread starts, recorded only by it.
+    /// Receive-batch-size histogram and inline-drained batch counter
+    /// (nullptr without a registry); set before the receiver thread starts.
+    /// The histogram records receiver and inline batches alike.
     telemetry::Histogram* recv_batch = nullptr;
+    telemetry::Counter* inline_batches = nullptr;
 
     // ---- Crash recovery (null/unused unless the option is enabled).
     //      All mutable recovery state below is guarded by the node's
@@ -247,6 +258,33 @@ class ThreadCluster {
   };
 
   void receiver_loop(NodeId node);
+  /// Dispatches one batch of `node`'s messages — from its receiver or an
+  /// inline drain — in same-shard runs: crash-stop check, recovery gate,
+  /// engine delivery, errors counted into receiver_errors_. Returns false
+  /// once the node has crash-stopped (the rest is discarded unread).
+  /// Requires no shard mutex held.
+  bool dispatch_batch(NodeRuntime& rt, NodeId node,
+                      std::vector<proto::Message>& batch)
+      HLOCK_EXCLUDES(event_mutex_);
+  /// Drains the mailboxes `scope` claimed through dispatch_batch. Call
+  /// holding no shard mutex.
+  void drain_inline(transport::InProcTransport::InlineScope& scope);
+  /// Shared body of lock()/upgrade(): watchdog bracket, the engine `step`
+  /// (LockEngine& -> Effects) applied under the shard mutex, an inline
+  /// drain outside it when the step claimed a mailbox, then the wait for
+  /// `lock` to land in `shard.*done`.
+  template <typename Label, typename Step>
+  void run_blocking(NodeId node, LockId lock, const Label& label,
+                    std::unordered_set<LockId> Shard::*done,
+                    const Step& step);
+  /// Blocks until `lock` is in `done` (or teardown/crash), consumes it,
+  /// ends `waiting` and uncounts the call from shard.waiters, which the
+  /// caller counted — after that the destructor may free the node state
+  /// and the transport.
+  void finish_wait(NodeRuntime& rt, Shard& shard,
+                   std::unordered_set<LockId>& done, LockId lock,
+                   transport::InProcTransport::WaitingClient& waiting)
+      HLOCK_REQUIRES(shard.mutex);
   /// Registers the transport-level callback series (message/byte totals,
   /// fault/retry counters, per-node mailbox depths) into metrics_.
   void register_transport_metrics(std::size_t node_count);
@@ -293,6 +331,10 @@ class ThreadCluster {
   /// Non-owning view of the TCP transport when one carries the cluster
   /// (possibly underneath the faulty wrapper) — its retry counters export.
   transport::TcpTransport* tcp_ = nullptr;
+  /// Non-owning view of the InProc transport (possibly underneath the
+  /// faulty wrapper, whose pump thread never claims): inline delivery.
+  /// nullptr over TCP, which keeps the receiver path for everything.
+  transport::InProcTransport* inproc_ = nullptr;
   /// Telemetry hooks from the options (nullptr = uninstrumented).
   telemetry::Registry* metrics_ = nullptr;
   telemetry::StallWatchdog* watchdog_ = nullptr;

@@ -7,8 +7,49 @@
 
 namespace hlock::transport {
 
+namespace {
+
+/// The calling thread's innermost open InlineScope.
+thread_local InProcTransport::InlineScope* t_inline_scope = nullptr;
+
+}  // namespace
+
+InProcTransport::InlineScope::InlineScope(InProcTransport* transport)
+    : transport_(transport), outer_(t_inline_scope) {
+  if (transport_ != nullptr) t_inline_scope = this;
+}
+
+InProcTransport::InlineScope::~InlineScope() {
+  if (transport_ == nullptr) return;
+  t_inline_scope = outer_;
+  for (const proto::NodeId node : claims_) {
+    transport_->mailbox(node).release_claim();
+  }
+}
+
+InProcTransport::WaitingClient::WaitingClient(InProcTransport* transport,
+                                              proto::NodeId node,
+                                              proto::LockId lock) {
+  if (transport == nullptr) return;
+  transport->mailbox(node);  // range check
+  Waiting& waiting = transport->waiting_[node.value()];
+  waiting.lock.store(lock.value(), std::memory_order_relaxed);
+  calls_ = &waiting.calls;
+  calls_->fetch_add(1, std::memory_order_relaxed);
+}
+
+void InProcTransport::WaitingClient::end() {
+  if (calls_ == nullptr) return;
+  calls_->fetch_sub(1, std::memory_order_relaxed);
+  calls_ = nullptr;
+}
+
 InProcTransport::InProcTransport(const InProcOptions& options)
-    : options_(options), latency_rng_(Rng{options.seed}.split(0x7A57u)) {
+    : options_(options),
+      waiting_(std::make_unique<Waiting[]>(options.node_count)),
+      zero_latency_(options.latency.kind() == DistKind::kConstant &&
+                    options.latency.mean() == SimTime::ns(0)),
+      latency_rng_(Rng{options.seed}.split(0x7A57u)) {
   HLOCK_REQUIRE(options.node_count >= 1,
                 "a transport needs at least one node");
   mailboxes_.reserve(options.node_count);
@@ -22,8 +63,39 @@ Mailbox& InProcTransport::mailbox(proto::NodeId node) {
   return *mailboxes_[node.value()];
 }
 
+bool InProcTransport::inline_eligible(const proto::Message& message) const {
+  const proto::MessageKind kind = proto::kind_of(message.payload);
+  if (!proto::is_critical_path_kind(kind)) return false;
+  // Only a node whose client waits is worth running on the sender's stack;
+  // delivering into a busy node early changes what the token protocols
+  // send (docs/performance.md, variant table).
+  const Waiting& waiting = waiting_[message.to.value()];
+  if (waiting.calls.load(std::memory_order_relaxed) == 0) return false;
+  // A node pending on this very lock would only queue the request (hier
+  // Rule 4.1, Naimi's next pointer), and queueing it there instead of
+  // answering it later adds copyset grants and releases.
+  const bool request = kind == proto::MessageKind::kHierRequest ||
+                       kind == proto::MessageKind::kNaimiRequest;
+  return !request ||
+         waiting.lock.load(std::memory_order_relaxed) != message.lock.value();
+}
+
+InProcTransport::InlineScope* InProcTransport::claiming_scope(
+    std::span<const proto::Message> messages) const {
+  InlineScope* scope = t_inline_scope;
+  if (scope == nullptr || scope->transport_ != this) return nullptr;
+  // A frame is claimed as a whole when any of its messages qualifies.
+  const bool eligible = std::any_of(
+      messages.begin(), messages.end(),
+      [this](const proto::Message& m) { return inline_eligible(m); });
+  return eligible ? scope : nullptr;
+}
+
 Mailbox::Clock::time_point InProcTransport::schedule_delivery(
     proto::NodeId from, proto::NodeId to) {
+  // Constant zero latency: every message is due at once, and per-channel
+  // FIFO is the mailbox's push order — no lock, no channel lookup.
+  if (zero_latency_) return Mailbox::Clock::time_point{};
   MutexLock guard(latency_mutex_);
   const SimTime latency = options_.latency.sample(latency_rng_);
   Mailbox::Clock::time_point deliver_at =
@@ -36,24 +108,31 @@ Mailbox::Clock::time_point InProcTransport::schedule_delivery(
   return deliver_at;
 }
 
-void InProcTransport::send(const proto::Message& message) {
-  proto::Message to_deliver = message;
-  if (options_.codec_roundtrip) {
-    // One scratch buffer per sending thread: capacity persists across
-    // sends, so the steady state allocates nothing for the wire image.
-    thread_local std::vector<std::byte> scratch;
-    scratch.clear();
-    proto::encode_into(message, scratch);
-    std::optional<proto::Message> decoded = proto::decode(scratch);
-    HLOCK_INVARIANT(decoded.has_value() && *decoded == message,
-                    "codec round-trip corrupted a message");
-    to_deliver = std::move(*decoded);
-    bytes_.fetch_add(scratch.size(), std::memory_order_relaxed);
-  }
+proto::Message InProcTransport::round_trip(const proto::Message& message) {
+  // One scratch buffer per sending thread: capacity persists across
+  // sends, so the steady state allocates nothing for the wire image.
+  thread_local std::vector<std::byte> scratch;
+  scratch.clear();
+  proto::encode_into(message, scratch);
+  std::optional<proto::Message> decoded = proto::decode(scratch);
+  HLOCK_INVARIANT(decoded.has_value() && *decoded == message,
+                  "codec round-trip corrupted a message");
+  bytes_.fetch_add(scratch.size(), std::memory_order_relaxed);
+  return std::move(*decoded);
+}
 
+void InProcTransport::send(const proto::Message& message) {
+  // The decoded copy is the one that travels; only without the codec does
+  // the message itself need copying.
+  proto::Message to_deliver =
+      options_.codec_roundtrip ? round_trip(message) : message;
+  Mailbox& box = mailbox(message.to);
+  InlineScope* scope = claiming_scope({&message, 1});
   const Mailbox::Clock::time_point deliver_at =
       schedule_delivery(message.from, message.to);
-  mailbox(message.to).push(std::move(to_deliver), deliver_at);
+  if (box.push(std::move(to_deliver), deliver_at, scope != nullptr)) {
+    scope->claims_.push_back(message.to);
+  }
   sent_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -85,8 +164,12 @@ void InProcTransport::send_coalesced(std::vector<proto::Message>& messages,
     }
   }
   // One latency sample for the whole batch: it travels as one frame.
+  Mailbox& box = mailbox(to);
+  InlineScope* scope = claiming_scope(group);
   const Mailbox::Clock::time_point deliver_at = schedule_delivery(from, to);
-  mailbox(to).push_all(std::move(group), deliver_at);
+  if (box.push_all(std::move(group), deliver_at, scope != nullptr)) {
+    scope->claims_.push_back(to);
+  }
   sent_.fetch_add(end - begin, std::memory_order_relaxed);
 }
 

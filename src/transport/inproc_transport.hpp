@@ -16,6 +16,14 @@
 // codec round-trip over a reused scratch buffer and one mailbox lock
 // acquisition instead of one of each per message. Batching never changes
 // what is delivered or in which order — see docs/performance.md.
+//
+// Run-to-completion delivery (docs/transports.md): a thread inside an
+// InlineScope — a ThreadCluster lock()/upgrade()/unlock() call, which
+// drains before it blocks or returns — delivers critical-path messages to
+// a node with a waiting client itself. Its send claims the destination mailbox instead of waking the
+// receiver, and InlineScope::drain() later runs the destination's protocol
+// steps on the sending thread. Everything else, and every thread without a
+// scope, wakes the receiver as before.
 #pragma once
 
 #include <atomic>
@@ -24,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "proto/ids.hpp"
@@ -54,6 +63,70 @@ struct InProcOptions {
 class InProcTransport final : public Transport {
  public:
   explicit InProcTransport(const InProcOptions& options);
+
+  /// The calling thread's run-to-completion window (file comment). While
+  /// the scope lives, a critical-path message (proto::is_critical_path_kind)
+  /// this thread sends toward a node with a WaitingClient, already due,
+  /// claims the destination's mailbox when it is unclaimed — its receiver
+  /// stays parked. The thread must drain() before it blocks and before the
+  /// scope ends, and only while holding no lock that `dispatch` takes.
+  /// A null transport makes an inert scope (TCP clusters).
+  class InlineScope {
+   public:
+    explicit InlineScope(InProcTransport* transport);
+    /// Hands any claim still held (an exception skipped the drain) back to
+    /// its receiver.
+    ~InlineScope();
+    InlineScope(const InlineScope&) = delete;
+    InlineScope& operator=(const InlineScope&) = delete;
+
+    /// True if a send since the last drain claimed a mailbox.
+    bool claimed() const { return !claims_.empty(); }
+
+    /// Drains every claimed mailbox, in claim order, as a worklist: sends
+    /// made by `dispatch(node, batch)` may claim further mailboxes, which
+    /// are drained in turn. Each mailbox's claim is released when it has
+    /// nothing due. Returns holding no claim.
+    template <typename Dispatch>
+    void drain(const Dispatch& dispatch) {
+      // A worklist, not a range-for: dispatch() may append to claims_.
+      std::size_t next = 0;
+      while (next < claims_.size()) {
+        const proto::NodeId node = claims_[next++];
+        Mailbox& box = transport_->mailbox(node);
+        for (std::vector<proto::Message> batch = box.take_claimed();
+             !batch.empty(); batch = box.take_claimed()) {
+          dispatch(node, batch);
+        }
+      }
+      claims_.clear();
+    }
+
+   private:
+    friend class InProcTransport;
+    InProcTransport* transport_;
+    InlineScope* outer_;
+    std::vector<proto::NodeId> claims_;
+  };
+
+  /// Marks a client call on `node` as blocked for a grant or upgrade of
+  /// `lock` until end() or destruction — the destination rule of inline
+  /// delivery. Take it before the request step, so an answer racing the
+  /// step sees it. A null transport makes a no-op.
+  class WaitingClient {
+   public:
+    WaitingClient(InProcTransport* transport, proto::NodeId node,
+                  proto::LockId lock);
+    ~WaitingClient() { end(); }
+    /// Stops counting (idempotent). A call ends it before it lets the
+    /// cluster's destructor go on, which frees the transport.
+    void end();
+    WaitingClient(const WaitingClient&) = delete;
+    WaitingClient& operator=(const WaitingClient&) = delete;
+
+   private:
+    std::atomic<std::uint32_t>* calls_ = nullptr;
+  };
 
   /// Routes a message to its destination mailbox. Thread-safe. Throws
   /// InvariantError if the codec round-trip corrupts the message.
@@ -99,8 +172,20 @@ class InProcTransport final : public Transport {
 
  private:
   Mailbox& mailbox(proto::NodeId node);
+  /// Encodes and decodes `message` (codec_roundtrip), returning the copy
+  /// that travels.
+  proto::Message round_trip(const proto::Message& message);
+  /// True if `message` alone would let its push claim the destination:
+  /// critical-path payload, a waiting client there, and — for a request —
+  /// not one for the lock that client waits on.
+  bool inline_eligible(const proto::Message& message) const;
+  /// The scope whose claim list a push of `messages` (one frame, one
+  /// destination) joins, or nullptr when the push must wake the receiver.
+  InlineScope* claiming_scope(std::span<const proto::Message> messages) const;
   /// Computes the delivery time of the next message/batch on (from, to),
-  /// maintaining per-channel FIFO under injected latency.
+  /// maintaining per-channel FIFO under injected latency. With a constant
+  /// zero latency every message gets one fixed, always-due time and the
+  /// mailbox's push order alone orders each channel.
   Mailbox::Clock::time_point schedule_delivery(proto::NodeId from,
                                                proto::NodeId to)
       HLOCK_EXCLUDES(latency_mutex_);
@@ -113,6 +198,17 @@ class InProcTransport final : public Transport {
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::atomic<std::uint64_t> sent_{0};
   std::atomic<std::uint64_t> bytes_{0};
+  /// One node's WaitingClient state: the calls blocked for a grant and
+  /// the lock of the latest of them (a heuristic input, so one slot is
+  /// enough even when several clients of a node wait). A cache line each:
+  /// every lock() call writes its own node's entry.
+  struct alignas(64) Waiting {
+    std::atomic<std::uint32_t> calls{0};
+    std::atomic<std::uint32_t> lock{0};
+  };
+  std::unique_ptr<Waiting[]> waiting_;
+  /// options_.latency is constant zero (schedule_delivery's fast path).
+  bool zero_latency_ = false;
 
   Mutex latency_mutex_;
   Rng latency_rng_ HLOCK_GUARDED_BY(latency_mutex_);

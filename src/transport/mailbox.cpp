@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/check.hpp"
+
 namespace hlock::transport {
 
 void Mailbox::push_locked(proto::Message&& message,
@@ -9,6 +11,19 @@ void Mailbox::push_locked(proto::Message&& message,
   heap_.push_back(Entry{deliver_at, next_seq_++, std::move(message)});
   std::push_heap(heap_.begin(), heap_.end());
   ++pushed_;
+}
+
+bool Mailbox::claim_or_notify_locked(bool claim, Clock::time_point deliver_at,
+                                     bool& notify) {
+  // A held claim means its holder will see the new message on its next
+  // take — waking the (parked or busy) receiver would be a wasted switch.
+  if (claim_ != Claim::kNone) return false;
+  if (claim && deliver_at <= Clock::now()) {
+    claim_ = Claim::kHelper;
+    return true;
+  }
+  notify = true;
+  return false;
 }
 
 proto::Message Mailbox::pop_top_locked() {
@@ -20,30 +35,52 @@ proto::Message Mailbox::pop_top_locked() {
   return message;
 }
 
-void Mailbox::push(proto::Message message, Clock::time_point deliver_at) {
-  // Explicit schedule point: under the explorer a racing pop/close may be
-  // interleaved before the push takes the lock (docs/sched.md).
-  sched::yield_point("mailbox.push");
-  {
-    MutexLock guard(mutex_);
-    if (closed_) return;
-    push_locked(std::move(message), deliver_at);
+std::vector<proto::Message> Mailbox::drain_ready_locked(
+    Clock::time_point now) {
+  // Drain every message matured by `now` under this one lock hold;
+  // later-matured messages wait for the next call.
+  std::vector<proto::Message> ready;
+  ready.reserve(heap_.size());  // upper bound: one allocation, no regrowth
+  while (!heap_.empty() && heap_.front().deliver_at <= now) {
+    ready.push_back(pop_top_locked());
   }
-  cv_.notify_one();
+  return ready;
 }
 
-void Mailbox::push_all(std::vector<proto::Message> messages,
-                       Clock::time_point deliver_at) {
-  if (messages.empty()) return;
-  sched::yield_point("mailbox.push-all");
+bool Mailbox::push(proto::Message message, Clock::time_point deliver_at,
+                   bool claim) {
+  // Explicit schedule point: under the explorer a racing pop/close (or a
+  // receiver parking) may be interleaved before the push takes the lock
+  // (docs/sched.md).
+  sched::yield_point(claim ? "mailbox.claim" : "mailbox.push");
+  bool notify = false;
+  bool claimed = false;
   {
     MutexLock guard(mutex_);
-    if (closed_) return;
+    if (closed_) return false;
+    push_locked(std::move(message), deliver_at);
+    claimed = claim_or_notify_locked(claim, deliver_at, notify);
+  }
+  if (notify) cv_.notify_one();
+  return claimed;
+}
+
+bool Mailbox::push_all(std::vector<proto::Message> messages,
+                       Clock::time_point deliver_at, bool claim) {
+  if (messages.empty()) return false;
+  sched::yield_point(claim ? "mailbox.claim" : "mailbox.push-all");
+  bool notify = false;
+  bool claimed = false;
+  {
+    MutexLock guard(mutex_);
+    if (closed_) return false;
     for (proto::Message& message : messages) {
       push_locked(std::move(message), deliver_at);
     }
+    claimed = claim_or_notify_locked(claim, deliver_at, notify);
   }
-  cv_.notify_one();
+  if (notify) cv_.notify_one();
+  return claimed;
 }
 
 std::optional<proto::Message> Mailbox::pop() {
@@ -52,31 +89,34 @@ std::optional<proto::Message> Mailbox::pop() {
 
 std::optional<proto::Message> Mailbox::pop_until(Clock::time_point deadline) {
   MutexLock lock(mutex_);
+  return_receiver_claim_locked();
   for (;;) {
-    if (!heap_.empty()) {
-      const Clock::time_point due = heap_.front().deliver_at;
-      if (due <= Clock::now()) {
-        return pop_top_locked();
-      }
-      // Wait until the head matures, the deadline passes, or a new
-      // (possibly earlier) message arrives.
-      const Clock::time_point until = std::min(due, deadline);
-      if (cv_.wait_until(mutex_, until) == std::cv_status::timeout &&
-          until == deadline && Clock::now() >= deadline) {
-        // Deadline reached before the head matured.
-        if (!heap_.empty() && heap_.front().deliver_at <= Clock::now()) {
+    // While a producer holds the claim it drains everything itself; the
+    // receiver waits for the release (or the deadline).
+    Clock::time_point wake = deadline;
+    if (claim_ == Claim::kNone) {
+      if (!heap_.empty()) {
+        const Clock::time_point due = heap_.front().deliver_at;
+        if (due <= Clock::now()) {
+          claim_ = Claim::kReceiver;
           return pop_top_locked();
         }
+        // Wait until the head matures, the deadline passes, or a new
+        // (possibly earlier) message arrives.
+        wake = std::min(due, deadline);
+      } else if (closed_) {
         return std::nullopt;
       }
-      continue;
     }
-    if (closed_) return std::nullopt;
-    if (deadline == Clock::time_point::max()) {
+    if (wake == Clock::time_point::max()) {
       cv_.wait(mutex_);
-    } else if (cv_.wait_until(mutex_, deadline) == std::cv_status::timeout) {
-      if (!heap_.empty() && heap_.front().deliver_at <= Clock::now()) {
-        continue;
+    } else if (cv_.wait_until(mutex_, wake) == std::cv_status::timeout &&
+               Clock::now() >= deadline) {
+      // Deadline reached: a head that matured meanwhile still counts.
+      if (claim_ == Claim::kNone && !heap_.empty() &&
+          heap_.front().deliver_at <= Clock::now()) {
+        claim_ = Claim::kReceiver;
+        return pop_top_locked();
       }
       return std::nullopt;
     }
@@ -85,25 +125,55 @@ std::optional<proto::Message> Mailbox::pop_until(Clock::time_point deadline) {
 
 std::vector<proto::Message> Mailbox::pop_all_ready() {
   MutexLock lock(mutex_);
+  return_receiver_claim_locked();
   for (;;) {
-    if (!heap_.empty()) {
-      const Clock::time_point now = Clock::now();
-      if (heap_.front().deliver_at <= now) {
-        // Drain every message matured by `now` under this one lock hold;
-        // later-matured messages wait for the next call.
-        std::vector<proto::Message> ready;
-        ready.reserve(heap_.size());  // upper bound: one allocation, no regrowth
-        while (!heap_.empty() && heap_.front().deliver_at <= now) {
-          ready.push_back(pop_top_locked());
+    if (claim_ == Claim::kNone) {
+      if (!heap_.empty()) {
+        const Clock::time_point now = Clock::now();
+        if (heap_.front().deliver_at <= now) {
+          claim_ = Claim::kReceiver;
+          return drain_ready_locked(now);
         }
-        return ready;
+        cv_.wait_until(mutex_, heap_.front().deliver_at);
+        continue;
       }
-      cv_.wait_until(mutex_, heap_.front().deliver_at);
-      continue;
+      if (closed_) return {};
     }
-    if (closed_) return {};
+    // Empty, or a producer holds the claim: park until a push, the
+    // claim's release, or close() wakes us.
     cv_.wait(mutex_);
   }
+}
+
+std::vector<proto::Message> Mailbox::take_claimed() {
+  sched::yield_point("mailbox.take");
+  bool wake_receiver = false;
+  {
+    MutexLock guard(mutex_);
+    HLOCK_INVARIANT(claim_ == Claim::kHelper,
+                    "take_claimed() without holding the claim");
+    const Clock::time_point now = Clock::now();
+    if (!heap_.empty() && heap_.front().deliver_at <= now) {
+      return drain_ready_locked(now);
+    }
+    // Seeing nothing due and letting go happen under one lock hold: a push
+    // after this point finds the mailbox unclaimed and wakes the receiver.
+    claim_ = Claim::kNone;
+    wake_receiver = !heap_.empty() || closed_;
+  }
+  if (wake_receiver) cv_.notify_one();
+  sched::yield_point("mailbox.release");
+  return {};
+}
+
+void Mailbox::release_claim() {
+  {
+    MutexLock guard(mutex_);
+    HLOCK_INVARIANT(claim_ == Claim::kHelper,
+                    "release_claim() without holding the claim");
+    claim_ = Claim::kNone;
+  }
+  cv_.notify_one();
 }
 
 void Mailbox::close() {

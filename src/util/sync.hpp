@@ -118,11 +118,17 @@ class HLOCK_CAPABILITY("mutex") Mutex {
   }
 
   void unlock() HLOCK_RELEASE() {
-    mu_.unlock();
-    if (sched::SyncObserver* obs = sched::sync_observer();
-        obs != nullptr) [[unlikely]] {
-      obs->released(id_);
+    sched::SyncObserver* obs = sched::sync_observer();
+    if (obs == nullptr) [[likely]] {
+      mu_.unlock();
+      return;
     }
+    // Copy the id first: once mu_ is free, a thread that was waiting for
+    // it may destroy this Mutex (ThreadCluster's destructor does, right
+    // after the last client call releases its shard mutex).
+    const sched::SyncId id = id_;
+    mu_.unlock();
+    obs->released(id);
   }
 
   bool try_lock() HLOCK_TRY_ACQUIRE(true) {

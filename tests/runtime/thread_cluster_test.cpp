@@ -9,9 +9,12 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "telemetry/registry.hpp"
+#include "trace/event.hpp"
 #include "util/check.hpp"
 
 namespace hlock::runtime {
@@ -344,6 +347,174 @@ TEST(ThreadCluster, WithInjectedLatency) {
   }
   for (std::thread& t : workers) t.join();
   EXPECT_EQ(counter, 30);
+}
+
+// ---- Run-to-completion delivery over InProc (docs/transports.md) ----
+
+constexpr LockId kHeld{2};    // node 1 holds it; a client of node 0 waits
+constexpr LockId kRemote{1};  // token idle at node 0 (the initial root)
+
+std::uint64_t inline_batches(telemetry::Registry& registry,
+                             std::uint32_t node) {
+  return registry
+      .counter(telemetry::labeled("hlock_inline_batches_total",
+                                  {{"node", std::to_string(node)}}))
+      .value();
+}
+
+/// Batches a node's receiver thread dispatched (the batch-size histogram
+/// records receiver and inline batches alike).
+std::uint64_t receiver_batches(telemetry::Registry& registry,
+                               std::uint32_t node) {
+  const std::uint64_t all =
+      registry
+          .histogram(telemetry::labeled("hlock_recv_batch_size",
+                                        {{"node", std::to_string(node)}}),
+                     {})
+          .count();
+  return all - inline_batches(registry, node);
+}
+
+/// Node 1 takes kHeld, then a client of node 0 blocks requesting it; returns
+/// once node 1 has queued that request and both receivers are parked, with
+/// nothing left in flight. Node 0
+/// then has a waiting client, so requests (for other locks), grants and
+/// tokens sent toward it are delivered inline. The returned thread leaves
+/// its lock() call when kHeld is handed over or the cluster tears down.
+std::thread block_node0_on_held_lock(ThreadCluster& cluster,
+                                     telemetry::Registry& registry) {
+  cluster.lock(NodeId{1}, kHeld, LockMode::kW);
+  std::thread waiter(
+      [&cluster] { cluster.lock(NodeId{0}, kHeld, LockMode::kW); });
+  telemetry::Gauge& queued = registry.gauge(telemetry::labeled(
+      "hlock_engine_queue_depth",
+      {{"node", "1"},
+       {"shard", std::to_string(kHeld.value() % cluster.engine_shards())}}));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (queued.value() < 1.0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  EXPECT_GE(queued.value(), 1.0) << "node 0's request never reached node 1";
+  // The gauge moves inside node 1's receiver dispatch; that receiver keeps
+  // its mailbox's claim until it is back in recv_ready(). Let both
+  // receivers return and park.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  return waiter;
+}
+
+TEST(ThreadClusterInline, RemoteAcquireToAWaitingNodeWakesNoReceiver) {
+  telemetry::Registry registry;
+  ThreadClusterOptions options = options_for(Protocol::kHierarchical, 2);
+  options.metrics = &registry;
+  ThreadCluster cluster{options};
+  std::thread waiter = block_node0_on_held_lock(cluster, registry);
+
+  const std::uint64_t receiver0 = receiver_batches(registry, 0);
+  const std::uint64_t receiver1 = receiver_batches(registry, 1);
+  const std::uint64_t inline0 = inline_batches(registry, 0);
+  const std::uint64_t inline1 = inline_batches(registry, 1);
+  // Request 1 -> 0 and token 0 -> 1 both run on this thread: neither
+  // receiver wakes. Deterministic — nothing else is in flight.
+  cluster.lock(NodeId{1}, kRemote, LockMode::kW);
+  EXPECT_TRUE(cluster.holds(NodeId{1}, kRemote));
+  cluster.unlock(NodeId{1}, kRemote);  // token now local: no message
+  EXPECT_EQ(receiver_batches(registry, 0), receiver0);
+  EXPECT_EQ(receiver_batches(registry, 1), receiver1);
+  EXPECT_EQ(inline_batches(registry, 0), inline0 + 1);
+  EXPECT_EQ(inline_batches(registry, 1), inline1 + 1);
+
+  // Handing kHeld to the waiting node 0 is delivered inline by unlock().
+  cluster.unlock(NodeId{1}, kHeld);
+  waiter.join();
+  EXPECT_TRUE(cluster.holds(NodeId{0}, kHeld));
+  EXPECT_EQ(receiver_batches(registry, 0), receiver0);
+  cluster.unlock(NodeId{0}, kHeld);
+}
+
+TEST(ThreadClusterInline, TcpNeverDeliversInline) {
+  telemetry::Registry registry;
+  ThreadClusterOptions options = options_for(Protocol::kHierarchical, 2);
+  options.transport = TransportKind::kTcp;
+  options.metrics = &registry;
+  ThreadCluster cluster{options};
+  std::thread waiter = block_node0_on_held_lock(cluster, registry);
+  cluster.lock(NodeId{1}, kRemote, LockMode::kW);
+  cluster.unlock(NodeId{1}, kRemote);
+  cluster.unlock(NodeId{1}, kHeld);
+  waiter.join();
+  cluster.unlock(NodeId{0}, kHeld);
+  EXPECT_EQ(inline_batches(registry, 0) + inline_batches(registry, 1), 0u);
+}
+
+TEST(ThreadClusterInline, CrashStopDiscardsMessagesAHelperClaimed) {
+  // Node 1's client claims node 0's mailbox (node 0 has a waiting client)
+  // while node 0 crash-stops. An inline drain dispatches through the same
+  // crash-stop check as the receiver, so once crash_stop() has returned,
+  // node 0 takes no protocol step, whichever thread drains its mailbox.
+  // SchedExploration.CrashStopRacesInlineDrain walks the interleavings.
+  for (int round = 0; round < 4; ++round) {
+    telemetry::Registry registry;
+    ThreadClusterOptions options = options_for(Protocol::kHierarchical, 2);
+    options.metrics = &registry;
+    options.hier_config.trace_events = true;
+    options.recovery.enabled = true;
+    options.recovery.heartbeat_interval = SimTime::ms(10);
+    options.recovery.suspect_after = SimTime::ms(200);
+    ThreadCluster cluster{options};
+    std::atomic<bool> crashed{false};
+    std::atomic<int> steps_after_crash{0};
+    cluster.set_event_sink([&crashed, &steps_after_crash](
+                               trace::TraceEvent event) {
+      if (crashed.load() && event.node == NodeId{0}) ++steps_after_crash;
+    });
+    std::thread waiter = block_node0_on_held_lock(cluster, registry);
+    std::thread helper([&cluster] {
+      // Granted normally, or by the regenerated token after recovery.
+      cluster.lock(NodeId{1}, kRemote, LockMode::kW);
+      cluster.unlock(NodeId{1}, kRemote);
+    });
+    if (round % 2 == 1) std::this_thread::yield();
+    cluster.crash_stop(NodeId{0});
+    crashed = true;
+    helper.join();
+    waiter.join();  // woken by the crash
+    EXPECT_EQ(steps_after_crash.load(), 0) << "round " << round;
+    EXPECT_EQ(cluster.receiver_errors(), 0u);
+  }
+}
+
+TEST(ThreadClusterInline, DestructionWhileAClientIsBetweenRequestStepAndWait) {
+  // The helper's request step claims node 0's mailbox; during the inline
+  // drain, node 0's step blocks in the event sink until the destructor has
+  // started. The destructor must still wait for the helper, which is past
+  // its request step but not yet in its wait.
+  telemetry::Registry registry;
+  ThreadClusterOptions options = options_for(Protocol::kHierarchical, 2);
+  options.metrics = &registry;
+  options.hier_config.trace_events = true;
+  auto cluster = std::make_unique<ThreadCluster>(options);
+  ThreadCluster* raw = cluster.get();
+  std::atomic<bool> armed{false};
+  std::atomic<bool> in_drain{false};
+  std::atomic<bool> release{false};
+  raw->set_event_sink([&](trace::TraceEvent event) {
+    if (armed.load() && event.node == NodeId{0} && event.lock == kRemote) {
+      in_drain = true;
+      while (!release.load()) std::this_thread::yield();
+    }
+  });
+  std::thread waiter = block_node0_on_held_lock(*raw, registry);
+  armed = true;
+  std::thread helper(
+      [raw] { raw->lock(NodeId{1}, kRemote, LockMode::kW); });
+  while (!in_drain.load()) std::this_thread::yield();
+  std::thread destroyer([&cluster] { cluster.reset(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  release = true;
+  destroyer.join();  // returns only after the helper has left lock()
+  helper.join();
+  waiter.join();
 }
 
 }  // namespace

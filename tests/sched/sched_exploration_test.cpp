@@ -4,6 +4,7 @@
 // shutdown / close / reconnect races the stress suites only sometimes hit
 // are walked systematically — and any interleaving that deadlocks or
 // fails prints its replay seed. See docs/sched.md.
+#include <atomic>
 #include <chrono>
 #include <optional>
 #include <string>
@@ -18,6 +19,7 @@
 #include "transport/inproc_transport.hpp"
 #include "transport/mailbox.hpp"
 #include "transport/tcp_transport.hpp"
+#include "util/check.hpp"
 #include "util/sync_observer.hpp"
 
 namespace hlock {
@@ -181,6 +183,103 @@ TEST(SchedExploration, TcpShutdownWakesReceiverParkedInPoll) {
         });
         transport.shutdown();
         receiver.join();
+      },
+      options);
+}
+
+TEST(SchedExploration, ClaimReleaseRacesReceiverParking) {
+  // A helper claims, drains and releases while a producer's push races the
+  // release and the receiver parks. The producer's message must reach the
+  // helper or the receiver without any later push or close: had it slipped
+  // unannounced between the helper's "nothing due" and its release, the
+  // receiver would stay parked and the main thread would wait for it
+  // forever — a deadlock the explorer proves.
+  sched_test::ExploreOptions options;
+  options.seeds = 48;
+  sched_test::explore(
+      [] {
+        transport::Mailbox mailbox;
+        Mutex mu{"test.received"};
+        CondVar cv;
+        std::size_t received = 0;
+        sched::Thread receiver("receiver", [&] {
+          for (;;) {
+            const std::vector<Message> batch = mailbox.pop_all_ready();
+            if (batch.empty()) return;
+            {
+              MutexLock guard(mu);
+              received += batch.size();
+            }
+            cv.notify_all();
+          }
+        });
+        sched::Thread producer("producer", [&mailbox] {
+          mailbox.push(make_message(0, 1, 1),
+                       transport::Mailbox::Clock::now());
+        });
+        std::size_t taken = 0;
+        if (mailbox.push(make_message(2, 1, 2),
+                         transport::Mailbox::Clock::now(), true)) {
+          for (auto batch = mailbox.take_claimed(); !batch.empty();
+               batch = mailbox.take_claimed()) {
+            taken += batch.size();
+          }
+        }
+        producer.join();
+        {
+          MutexLock guard(mu);
+          while (taken + received < 2) cv.wait(mu);
+        }
+        mailbox.close();
+        receiver.join();
+        EXPECT_EQ(taken + received, 2u);
+      },
+      options);
+}
+
+TEST(SchedExploration, CrashStopRacesInlineDrain) {
+  // Node 1's unlock hands the token to node 0's waiting client — inline,
+  // on the unlocking thread, when the request is already queued at node 1;
+  // through the receivers when it is still in flight — while node 0
+  // crash-stops. Whichever order the explorer picks, once crash_stop()
+  // returns node 0 takes no protocol step, and every call comes back.
+  sched_test::ExploreOptions options;
+  options.seeds = 8;
+  sched_test::explore(
+      [] {
+        runtime::ThreadClusterOptions cluster_options;
+        cluster_options.node_count = 2;
+        cluster_options.hier_config.trace_events = true;
+        cluster_options.recovery.enabled = true;
+        cluster_options.recovery.heartbeat_interval = SimTime::ms(50);
+        cluster_options.recovery.suspect_after = SimTime::ms(60'000);
+        runtime::ThreadCluster cluster{cluster_options};
+        std::atomic<bool> crashed{false};
+        std::atomic<int> steps_after_crash{0};
+        cluster.set_event_sink(
+            [&crashed, &steps_after_crash](trace::TraceEvent event) {
+              if (crashed.load() && event.node == NodeId{0}) {
+                ++steps_after_crash;
+              }
+            });
+        cluster.lock(NodeId{1}, LockId{3}, LockMode::kW);
+        sched::Thread waiter("waiter", [&cluster] {
+          try {
+            cluster.lock(NodeId{0}, LockId{3}, LockMode::kW);
+          } catch (const UsageError&) {
+            // crash_stop() ran before the call began
+          }
+        });
+        sched::Thread helper("helper", [&cluster] {
+          cluster.unlock(NodeId{1}, LockId{3});
+        });
+        sched::yield_point("test.before-crash");
+        cluster.crash_stop(NodeId{0});
+        crashed = true;
+        helper.join();
+        waiter.join();
+        EXPECT_EQ(steps_after_crash.load(), 0);
+        EXPECT_EQ(cluster.receiver_errors(), 0u);
       },
       options);
 }

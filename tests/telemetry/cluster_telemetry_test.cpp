@@ -16,6 +16,7 @@
 #include "telemetry/registry.hpp"
 #include "telemetry/text_parse.hpp"
 #include "telemetry/watchdog.hpp"
+#include "util/check.hpp"
 
 namespace hlock::runtime {
 namespace {
@@ -215,6 +216,35 @@ TEST(ClusterTelemetry, UninstrumentedClustersTouchNoRegistry) {
     cluster.unlock(NodeId{0}, LockId{0});
   }
   EXPECT_EQ(registry.series_count(), 0u);
+}
+
+TEST(ClusterTelemetry, ThrowingCallsEndTheirWatchdogBracket) {
+  // Regression: lock()/upgrade() opened the stall bracket before checking
+  // the node was alive, so a call that threw left a pending entry that
+  // later sweeps flagged as a stall forever.
+  telemetry::Registry registry;
+  telemetry::WatchdogOptions watchdog_options;
+  watchdog_options.floor = std::chrono::milliseconds(5);
+  telemetry::StallWatchdog watchdog{registry, watchdog_options};
+  ThreadClusterOptions options;
+  options.node_count = 2;
+  options.watchdog = &watchdog;
+  options.recovery.enabled = true;
+  options.recovery.heartbeat_interval = SimTime::ms(50);
+  options.recovery.suspect_after = SimTime::ms(1000);
+  ThreadCluster cluster{options};
+
+  cluster.lock(NodeId{0}, LockId{3}, LockMode::kW);
+  // Engine usage error: the node already holds the lock.
+  EXPECT_THROW(cluster.lock(NodeId{0}, LockId{3}, LockMode::kW), UsageError);
+  cluster.crash_stop(NodeId{1});
+  EXPECT_THROW(cluster.lock(NodeId{1}, LockId{4}, LockMode::kR), UsageError);
+  EXPECT_THROW(cluster.upgrade(NodeId{1}, LockId{4}), UsageError);
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));  // past floor
+  EXPECT_EQ(watchdog.check_now(), 0u);
+  EXPECT_EQ(watchdog.stalled_total(), 0u);
+  EXPECT_EQ(registry.gauge("hlock_pending_requests").value(), 0.0);
 }
 
 }  // namespace

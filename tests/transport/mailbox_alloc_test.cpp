@@ -2,8 +2,10 @@
 //
 // The delivery path used to deep-copy every popped message out of a
 // std::priority_queue (the adapter only exposes a const top()), which
-// duplicated the payload buffer of every token handover. These tests pin
-// the fix with two independent instruments: a global operator new/delete
+// duplicated the payload buffer of every token handover, and
+// InProcTransport::send copied every message before the codec round-trip
+// replaced the copy. These tests pin the fixes with two independent
+// instruments: a global operator new/delete
 // counter proving the pop path allocates nothing, and pointer identity on a
 // token queue's buffer proving the very same heap block that was pushed
 // comes back out.
@@ -17,6 +19,8 @@
 #include <cstdlib>
 #include <new>
 
+#include "proto/codec.hpp"
+#include "transport/inproc_transport.hpp"
 #include "transport/mailbox.hpp"
 
 namespace {
@@ -113,6 +117,30 @@ TEST(MailboxAlloc, PopAllReadyMakesOneAllocationForTheBatchVector) {
     EXPECT_EQ(queue_of(drained[i]).data(), buffers[i])
         << "message " << i << " was deep-copied on the way through";
   }
+}
+
+TEST(MailboxAlloc, InProcSendAllocatesOnlyWhatDecodingDoes) {
+  InProcTransport transport{InProcOptions{2}};
+  const proto::Message message = token_message(32);
+  // Warm-up: the thread-local wire scratch and the mailbox heap reach
+  // their steady-state capacity.
+  transport.send(message);
+  ASSERT_EQ(transport.recv_ready(proto::NodeId{1}).size(), 1u);
+
+  std::vector<std::byte> wire;
+  proto::encode_into(message, wire);
+  std::uint64_t before = allocations();
+  const std::optional<proto::Message> decoded = proto::decode(wire);
+  const std::uint64_t decode_cost = allocations() - before;
+  ASSERT_TRUE(decoded.has_value());
+  ASSERT_GT(decode_cost, 0u);  // the token queue's buffer
+
+  before = allocations();
+  transport.send(message);
+  const std::uint64_t send_cost = allocations() - before;
+  // The decoded message is the one that travels: no extra deep copy.
+  EXPECT_EQ(send_cost, decode_cost);
+  EXPECT_EQ(transport.recv_ready(proto::NodeId{1}).at(0), message);
 }
 
 }  // namespace

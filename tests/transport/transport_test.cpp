@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -319,6 +320,241 @@ TEST(InProcTransport, ShutdownUnblocksReceivers) {
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   transport.shutdown();
   receiver.join();
+}
+
+// ---- Consumer claim (run-to-completion delivery, docs/transports.md) ----
+
+/// Runs pop_all_ready() on its own thread until it returns empty, keeping
+/// every batch it got.
+class ReceiverThread {
+ public:
+  explicit ReceiverThread(Mailbox& box)
+      : thread_([this, &box] {
+          for (;;) {
+            std::vector<Message> batch = box.pop_all_ready();
+            if (batch.empty()) break;
+            for (const Message& m : batch) froms_.push_back(m.from);
+            received_.fetch_add(batch.size());
+            returns_.fetch_add(1);
+          }
+        }) {}
+  ~ReceiverThread() {
+    if (thread_.joinable()) thread_.join();
+  }
+
+  /// Waits up to 5 s for `count` messages in total.
+  bool wait_for(std::size_t count) const {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (received_.load() < count) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    return true;
+  }
+  std::size_t returns() const { return returns_.load(); }
+  /// Senders in receive order; read after join().
+  const std::vector<NodeId>& froms() const { return froms_; }
+  void join() { thread_.join(); }
+
+ private:
+  std::atomic<std::size_t> received_{0};
+  std::atomic<std::size_t> returns_{0};
+  std::vector<NodeId> froms_;
+  std::thread thread_;
+};
+
+TEST(MailboxClaim, ClaimingPushLeavesParkedReceiverParked) {
+  Mailbox box;
+  ReceiverThread receiver(box);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));  // parks
+
+  ASSERT_TRUE(box.push(make_message(1, 0), Mailbox::Clock::now(), true));
+  // While the claim is held, an ordinary push joins the holder's drain
+  // instead of waking the receiver.
+  EXPECT_FALSE(box.push(make_message(2, 0), Mailbox::Clock::now()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const std::vector<Message> taken = box.take_claimed();
+  ASSERT_EQ(taken.size(), 2u);
+  EXPECT_EQ(taken[0].from, NodeId{1});
+  EXPECT_EQ(taken[1].from, NodeId{2});
+  EXPECT_TRUE(box.take_claimed().empty());  // releases the claim
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(receiver.returns(), 0u);
+
+  // Unclaimed again: the next push is the receiver's.
+  EXPECT_FALSE(box.push(make_message(3, 0), Mailbox::Clock::now()));
+  EXPECT_TRUE(receiver.wait_for(1));
+  box.close();
+  receiver.join();
+  EXPECT_EQ(receiver.froms(), std::vector<NodeId>{NodeId{3}});
+}
+
+TEST(MailboxClaim, ReleaseIsAtomicWithSeeingEmptySoNothingStrands) {
+  // A producer keeps pushing while a helper repeatedly claims and drains.
+  // Every message must reach the helper or the receiver; one pushed between
+  // "nothing due" and the release would otherwise sit unannounced until
+  // the next push.
+  constexpr std::size_t kProduced = 4000;
+  constexpr std::size_t kHelperRounds = 400;
+  Mailbox box;
+  ReceiverThread receiver(box);
+  std::atomic<std::size_t> taken_by_helper{0};
+  std::thread producer([&box] {
+    for (std::size_t i = 0; i < kProduced; ++i) {
+      box.push(make_message(1, 0), Mailbox::Clock::now());
+    }
+  });
+  std::thread helper([&box, &taken_by_helper] {
+    for (std::size_t i = 0; i < kHelperRounds; ++i) {
+      if (!box.push(make_message(2, 0), Mailbox::Clock::now(), true)) {
+        continue;  // receiver or another push owned it: it is theirs
+      }
+      for (auto batch = box.take_claimed(); !batch.empty();
+           batch = box.take_claimed()) {
+        taken_by_helper.fetch_add(batch.size());
+      }
+    }
+  });
+  producer.join();
+  helper.join();
+  const std::size_t total = kProduced + kHelperRounds;
+  EXPECT_TRUE(receiver.wait_for(total - taken_by_helper.load()))
+      << "a message was stranded behind a released claim";
+  box.close();
+  receiver.join();
+}
+
+TEST(MailboxClaim, CloseWhileHelperHoldsClaimEndsRecvReadyOnRelease) {
+  Mailbox box;
+  ReceiverThread receiver(box);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_TRUE(box.push(make_message(1, 0), Mailbox::Clock::now(), true));
+  box.close();
+  EXPECT_EQ(box.take_claimed().size(), 1u);
+  EXPECT_TRUE(box.take_claimed().empty());  // release wakes the receiver
+  receiver.join();  // returns: closed, empty, unclaimed
+  EXPECT_EQ(receiver.returns(), 0u);
+}
+
+TEST(MailboxClaim, FutureDatedMessagesAreNeverClaimed) {
+  Mailbox box;
+  const auto now = Mailbox::Clock::now();
+  EXPECT_FALSE(box.push(make_message(1, 0), now + std::chrono::hours(1),
+                        true));
+  EXPECT_FALSE(box.push_all({make_message(2, 0)},
+                            now + std::chrono::hours(1), true));
+  // A due message claims; the drain takes only what is due and leaves the
+  // delayed ones to the receiver.
+  ASSERT_TRUE(box.push(make_message(3, 0), now, true));
+  const std::vector<Message> taken = box.take_claimed();
+  ASSERT_EQ(taken.size(), 1u);
+  EXPECT_EQ(taken[0].from, NodeId{3});
+  EXPECT_TRUE(box.take_claimed().empty());
+  EXPECT_EQ(box.size(), 2u);
+}
+
+TEST(MailboxClaim, PushAllClaimsTheWholeBurst) {
+  Mailbox box;
+  ASSERT_TRUE(box.push_all({make_message(1, 0), make_message(2, 0)},
+                           Mailbox::Clock::now(), true));
+  EXPECT_FALSE(box.push(make_message(3, 0), Mailbox::Clock::now(), true));
+  const std::vector<Message> taken = box.take_claimed();
+  ASSERT_EQ(taken.size(), 3u);
+  EXPECT_EQ(taken[2].from, NodeId{3});
+}
+
+Message release_message(std::uint32_t from, std::uint32_t to) {
+  return Message{NodeId{from}, NodeId{to}, LockId{0},
+                 proto::HierRelease{LockMode::kNL, 0}};
+}
+
+TEST(InProcInline, CallersThatNeverClaimSeeUnchangedDelivery) {
+  InProcTransport transport{InProcOptions{2}};
+  // A waiting client alone claims nothing: this thread has no scope.
+  const InProcTransport::WaitingClient waiting(&transport, NodeId{1},
+                                               LockId{5});
+  transport.send(make_message(0, 1));
+  transport.send_batch({make_message(0, 1), make_message(0, 1)});
+  EXPECT_EQ(transport.recv_ready(NodeId{1}).size(), 3u);
+}
+
+TEST(InProcInline, ScopeClaimsOnlyCriticalPathMessagesToWaitingNodes) {
+  InProcTransport transport{InProcOptions{3}};
+  InProcTransport::InlineScope scope(&transport);
+
+  // Node 1 has no waiting client: the request waits for its receiver.
+  transport.send(make_message(0, 1));
+  EXPECT_FALSE(scope.claimed());
+  EXPECT_EQ(transport.inbox_depth(NodeId{1}), 1u);
+
+  const InProcTransport::WaitingClient waiting(&transport, NodeId{2},
+                                               LockId{5});
+  // Releases never claim, and neither does a request for the very lock
+  // the waiting client waits on (the node would only queue it).
+  transport.send(release_message(0, 2));
+  Message same_lock = make_message(0, 2);
+  same_lock.lock = LockId{5};
+  transport.send(same_lock);
+  EXPECT_FALSE(scope.claimed());
+  EXPECT_EQ(transport.inbox_depth(NodeId{2}), 2u);
+
+  // A request for another lock claims node 2's mailbox; the two messages
+  // already waiting there ride along, in order.
+  transport.send(make_message(0, 2));
+  ASSERT_TRUE(scope.claimed());
+  std::vector<proto::MessageKind> drained;
+  scope.drain([&drained](NodeId node, std::vector<Message>& batch) {
+    EXPECT_EQ(node, NodeId{2});
+    for (const Message& m : batch) drained.push_back(proto::kind_of(m.payload));
+  });
+  EXPECT_FALSE(scope.claimed());
+  EXPECT_EQ(drained, (std::vector<proto::MessageKind>{
+                         proto::MessageKind::kHierRelease,
+                         proto::MessageKind::kHierRequest,
+                         proto::MessageKind::kHierRequest}));
+}
+
+TEST(InProcInline, MessagesDispatchedInsideADrainMayClaimFurtherNodes) {
+  InProcTransport transport{InProcOptions{3}};
+  const InProcTransport::WaitingClient waiting1(&transport, NodeId{1},
+                                                LockId{5});
+  const InProcTransport::WaitingClient waiting2(&transport, NodeId{2},
+                                                LockId{5});
+  InProcTransport::InlineScope scope(&transport);
+  transport.send(make_message(0, 1));
+  std::vector<NodeId> order;
+  scope.drain([&](NodeId node, std::vector<Message>& batch) {
+    order.push_back(node);
+    // Node 1 "answers" by messaging node 2 — claimed and drained in turn.
+    if (node == NodeId{1}) transport.send_batch({make_message(1, 2)});
+    EXPECT_EQ(batch.size(), 1u);
+  });
+  EXPECT_EQ(order, (std::vector<NodeId>{NodeId{1}, NodeId{2}}));
+}
+
+TEST(InProcInline, ScopeEndingUndrainedHandsTheClaimToTheReceiver) {
+  InProcTransport transport{InProcOptions{2}};
+  const InProcTransport::WaitingClient waiting(&transport, NodeId{1},
+                                               LockId{5});
+  {
+    InProcTransport::InlineScope scope(&transport);
+    transport.send(make_message(0, 1));
+    ASSERT_TRUE(scope.claimed());
+  }
+  EXPECT_EQ(transport.recv_ready(NodeId{1}).size(), 1u);
+}
+
+TEST(InProcInline, DelayedTrafficIsNeverClaimed) {
+  InProcOptions options{2};
+  options.latency = DurationDist::constant(SimTime::ms(1));
+  InProcTransport transport{options};
+  const InProcTransport::WaitingClient waiting(&transport, NodeId{1},
+                                               LockId{5});
+  InProcTransport::InlineScope scope(&transport);
+  transport.send(make_message(0, 1));
+  EXPECT_FALSE(scope.claimed());
+  EXPECT_EQ(transport.recv_ready(NodeId{1}).size(), 1u);
 }
 
 }  // namespace
