@@ -54,11 +54,10 @@ struct State {
   // Crash exploration only (CrashSpec::active()); empty otherwise. The
   // managers' Host pointers route through the explorer's per-node
   // adapters, which dereference whatever state the explorer is currently
-  // operating on — copies of a State therefore stay self-contained.
+  // operating on — copies of a State therefore stay self-contained. Each
+  // manager also holds its node's halted and parked message backlog.
   std::vector<recovery::Manager> managers;
   std::uint32_t alive = ~0u;  ///< bit i: node i has not crashed
-  std::vector<std::deque<Message>> halted;  ///< buffered while halted
-  std::vector<std::deque<Message>> parked;  ///< newer-epoch, await fence
 };
 
 /// One transition of the scripted system: deliver the head of channel
@@ -109,8 +108,8 @@ struct SafetyIssue {
 /// Host adapter handed to every recovery::Manager under crash exploration.
 /// Managers are copied with their States, but all copies of node i share
 /// this one adapter, which routes to the state the explorer is currently
-/// applying an action to (`*active`) — mirroring HierEngine's Host
-/// implementation on that state's automaton.
+/// applying an action to (`*active`) — the same Host contract HierEngine
+/// implements, on that state's single-lock automaton.
 class CrashHost : public recovery::Host {
  public:
   CrashHost(State* const* active, std::uint32_t node)
@@ -119,21 +118,11 @@ class CrashHost : public recovery::Host {
   std::vector<LockId> recovery_locks() override { return {kLock}; }
 
   recovery::LockReport report(LockId /*lock*/) override {
-    const HierAutomaton& a = automaton();
-    recovery::LockReport r;
-    r.epoch = a.recovery_epoch();
-    r.has_token = a.is_token();
-    r.held = a.held();
-    r.upgrading = a.upgrading();
-    // As in HierEngine::report: an upgrader's pending W is preserved as an
-    // in-flight Rule 7 upgrade at the new root, not re-queued.
-    r.waiting = !a.upgrading() && a.pending() != LockMode::kNL;
-    if (r.waiting) {
-      r.wait_mode = a.pending();
-      r.wait_seq = a.pending_seq();
-      r.wait_priority = a.pending_priority();
-    }
-    return r;
+    return recovery::hier_report(automaton());
+  }
+
+  Effects deliver(const Message& message) override {
+    return automaton().on_message(message);
   }
 
   Effects install_fence(LockId /*lock*/,
@@ -276,8 +265,6 @@ class Explorer {
         state.managers.emplace_back(NodeId{static_cast<std::uint32_t>(i)},
                                     n_, rec_options_, hosts_[i].get());
       }
-      state.halted.resize(n_);
-      state.parked.resize(n_);
     }
     return state;
   }
@@ -369,17 +356,23 @@ class Explorer {
     }
   }
 
-  /// Applies one automaton step's effects exactly as the runtimes do:
-  /// sink events, fan out messages (sends to a crashed node are lost, as
-  /// over a real network) and fold grants into the actor's script status.
-  void apply_effects(State& state, std::size_t actor, Effects&& fx,
-                     std::vector<trace::TraceEvent>* events) const {
-    sink_events(std::move(fx.events), events);
-    for (Message& message : fx.messages) {
+  /// Appends `messages` to their FIFO channels; sends to a crashed node
+  /// are lost, as over a real network.
+  void send(State& state, std::vector<Message>& messages) const {
+    for (Message& message : messages) {
       if (crash_on_ && !alive(state, message.to.value())) continue;
       state.channels[{message.from.value(), message.to.value()}].push_back(
           std::move(message));
     }
+  }
+
+  /// Applies one automaton step's effects exactly as the runtimes do:
+  /// sink events, send messages and fold grants into the actor's script
+  /// status.
+  void apply_effects(State& state, std::size_t actor, Effects&& fx,
+                     std::vector<trace::TraceEvent>* events) const {
+    sink_events(std::move(fx.events), events);
+    send(state, fx.messages);
     if (fx.entered_cs) {
       HLOCK_INVARIANT(state.status[actor] == Status::kWaiting ||
                           state.status[actor] == Status::kIdle,
@@ -393,58 +386,30 @@ class Explorer {
     }
   }
 
-  /// Applies one Manager step's outcome, mirroring the runtimes'
-  /// apply_outcome + replay_buffers: messages fan out (sends to crashed
-  /// nodes are lost), fence effects apply like protocol steps, and an
-  /// unhalt replays the node's parked-then-halted backlog synchronously.
+  /// Applies one Manager step's outcome exactly as the runtimes do: send
+  /// its messages, then apply its automaton effects — fences, gated
+  /// deliveries, the unhalt replay — like protocol steps.
   void apply_outcome(State& state, std::size_t actor,
                      recovery::Outcome&& out,
                      std::vector<trace::TraceEvent>* events) const {
     sink_events(std::move(out.events), events);
-    for (Message& message : out.messages) {
-      if (!alive(state, message.to.value())) continue;
-      state.channels[{message.from.value(), message.to.value()}].push_back(
-          std::move(message));
-    }
-    for (auto& [lock, fx] : out.fence_effects) {
+    send(state, out.messages);
+    for (auto& [lock, fx] : out.effects) {
       (void)lock;  // single-lock configuration
       apply_effects(state, actor, std::move(fx), events);
     }
-    if (out.unhalted) {
-      std::deque<Message> parked = std::move(state.parked[actor]);
-      state.parked[actor].clear();
-      std::deque<Message> backlog = std::move(state.halted[actor]);
-      state.halted[actor].clear();
-      for (const Message& message : parked) {
-        route_message(state, actor, message, events);
-      }
-      for (const Message& message : backlog) {
-        route_message(state, actor, message, events);
-      }
-    }
   }
 
-  /// Routes one delivered (or replayed) message at node `to`, mirroring
-  /// SimCluster::deliver: recovery kinds go to the manager, protocol
-  /// messages buffer while halted, park while from a newer epoch, and
-  /// otherwise hit the automaton (which stale-drops older epochs itself).
+  /// Routes one delivered message at node `to`: under crash exploration
+  /// every message goes through the node's recovery::Manager — the
+  /// runtimes' gate itself — and otherwise straight to the automaton.
   void route_message(State& state, std::size_t to, const Message& message,
                      std::vector<trace::TraceEvent>* events) const {
     if (crash_on_) {
-      recovery::Manager& manager = state.managers[to];
-      if (proto::is_recovery_kind(proto::kind_of(message.payload))) {
-        apply_outcome(state, to, manager.on_message(message, SimTime{}),
-                      events);
-        return;
-      }
-      if (manager.halted()) {
-        state.halted[to].push_back(message);
-        return;
-      }
-      if (message.epoch > state.nodes[to].recovery_epoch()) {
-        state.parked[to].push_back(message);
-        return;
-      }
+      apply_outcome(state, to,
+                    state.managers[to].on_message(message, SimTime{}),
+                    events);
+      return;
     }
     if (bounced(state, message)) return;
     apply_effects(state, to, state.nodes[to].on_message(message), events);
@@ -460,8 +425,7 @@ class Explorer {
       it = it->first.second == victim ? state.channels.erase(it)
                                       : std::next(it);
     }
-    state.halted[victim].clear();
-    state.parked[victim].clear();
+    state.managers[victim].discard_backlog();
     state.status[victim] = Status::kDone;
   }
 
@@ -583,9 +547,11 @@ class Explorer {
       for (const auto& [key, queue] : state.channels) {
         for (const Message& message : queue) count(message);
       }
-      for (std::size_t i = 0; i < n_; ++i) {
-        for (const Message& message : state.halted[i]) count(message);
-        for (const Message& message : state.parked[i]) count(message);
+      for (const recovery::Manager& manager : state.managers) {
+        for (const Message& message : manager.halted_backlog()) {
+          count(message);
+        }
+        for (const Message& message : manager.parked()) count(message);
       }
       for (const auto& [epoch, cnt] : tokens) {
         if (cnt > 1) {
@@ -648,12 +614,7 @@ class Explorer {
       os << 'N' << i << '[' << state.nodes[i].fingerprint() << ']'
          << state.pc[i] << static_cast<int>(state.status[i]);
       if (crash_on_) {
-        os << 'M' << '{' << state.managers[i].fingerprint() << '}' << 'H'
-           << '{';
-        for (const Message& m : state.halted[i]) os << to_string(m) << ';';
-        os << '}' << 'P' << '{';
-        for (const Message& m : state.parked[i]) os << to_string(m) << ';';
-        os << '}';
+        os << 'M' << '{' << state.managers[i].fingerprint() << '}';
       }
     }
     for (const auto& [key, queue] : state.channels) {
@@ -862,7 +823,7 @@ class Explorer {
       for (std::uint32_t v = 0; v < n_; ++v) {
         if (!alive(state, v) && !manager.is_dead(NodeId{v})) return false;
       }
-      if (!state.halted[i].empty() || !state.parked[i].empty()) {
+      if (!manager.halted_backlog().empty() || !manager.parked().empty()) {
         return false;
       }
       if (epoch == UINT32_MAX) {
@@ -1276,7 +1237,8 @@ class Explorer {
                path_actions(idx, nullptr));
           return;
         }
-        if (!state.halted[i].empty() || !state.parked[i].empty()) {
+        if (!state.managers[i].halted_backlog().empty() ||
+            !state.managers[i].parked().empty()) {
           fail("terminal state with undelivered backlog at node" +
                    std::to_string(i),
                "quiescence:backlog", Verdict::kSafety,

@@ -1,12 +1,13 @@
 // Engine-side interface of the crash-recovery layer.
 //
 // The recovery::Manager is protocol-agnostic: it gathers per-lock state
-// reports, elects a new token root and broadcasts epoch fences without
-// knowing whether the node runs the hierarchical protocol or the Naimi
-// baseline. Everything protocol-specific happens behind this Host
-// interface, implemented by the runtime around HierEngine / NaimiEngine
-// (Raymond's static-tree baseline has no recovery story and rejects it).
-// See docs/recovery.md for the full walkthrough.
+// reports, elects a new token root, broadcasts epoch fences and gates every
+// incoming protocol message without knowing whether the node runs the
+// hierarchical protocol or the Naimi baseline. Everything protocol-specific
+// happens behind this Host interface, implemented by runtime::LockEngine
+// (Raymond's static-tree baseline has no recovery story and rejects it) and
+// by the model checker's single-lock adapter. See docs/recovery.md for the
+// full walkthrough.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +17,10 @@
 #include "proto/ids.hpp"
 #include "proto/lock_mode.hpp"
 #include "proto/message.hpp"
+
+namespace hlock::core {
+class HierAutomaton;
+}  // namespace hlock::core
 
 namespace hlock::recovery {
 
@@ -61,15 +66,28 @@ class Host {
   virtual core::Effects install_fence(LockId lock,
                                       const proto::EpochFence& fence) = 0;
 
-  /// `lock`'s current recovery epoch (0 if the automaton does not exist),
-  /// used by runtimes to route incoming messages: older epoch = stale drop,
-  /// newer epoch = buffer until the local fence arrives.
+  /// `lock`'s current recovery epoch, used by the Manager's gate to route
+  /// incoming protocol messages: older epoch = stale drop, newer epoch =
+  /// park until the local fence arrives. A lock this node has never touched
+  /// reports the epoch its automaton would be created in (the one from the
+  /// last set_default_origin), never 0 — 0 would park the first
+  /// post-recovery message for a fresh lock forever.
   virtual std::uint32_t recovery_epoch(LockId lock) = 0;
+
+  /// Delivers one protocol message that passed the gate to the addressed
+  /// lock's automaton (creating it if needed); returns its effects, which
+  /// the runtime applies exactly like any protocol step.
+  virtual core::Effects deliver(const proto::Message& message) = 0;
 
   /// Sets the origin for locks first touched after a recovery: their lazily
   /// created automatons root at `root` and start in `epoch` (the pre-crash
   /// default root may be dead).
   virtual void set_default_origin(NodeId root, std::uint32_t epoch) = 0;
 };
+
+/// The hierarchical automaton's report. One mapping for every Host that
+/// runs the hierarchical protocol (runtime::HierEngine and the model
+/// checker's adapter).
+LockReport hier_report(const core::HierAutomaton& automaton);
 
 }  // namespace hlock::recovery

@@ -16,13 +16,6 @@ using proto::Payload;
 using proto::QueuedRequest;
 using proto::Suspect;
 
-void Outcome::merge(Outcome&& other) {
-  for (auto& m : other.messages) messages.push_back(std::move(m));
-  for (auto& fe : other.fence_effects) fence_effects.push_back(std::move(fe));
-  for (auto& e : other.events) events.push_back(std::move(e));
-  unhalted = unhalted || other.unhalted;
-}
-
 Manager::Manager(NodeId self, std::size_t node_count, Options options,
                  Host* host)
     : self_(self), node_count_(node_count), options_(options), host_(host) {
@@ -89,6 +82,7 @@ Outcome Manager::on_tick(SimTime now) {
       adopt_dead(peer, now, out);
     }
   }
+  finish(out);
   return out;
 }
 
@@ -96,41 +90,80 @@ Outcome Manager::suspect(NodeId dead, SimTime now) {
   Outcome out;
   if (!options_.enabled) return out;
   adopt_dead(dead, now, out);
+  finish(out);
   return out;
+}
+
+void Manager::discard_backlog() {
+  halted_msgs_.clear();
+  parked_msgs_.clear();
 }
 
 Outcome Manager::on_message(const Message& message, SimTime now) {
   Outcome out;
-  if (!options_.enabled) return out;
-  if (is_dead(message.from)) return out;  // zombie traffic; never retract
+  // Any delivery is liveness evidence (note_alive ignores senders already
+  // believed dead: suspicions are never retracted).
   note_alive(message.from, now);
-
-  if (std::get_if<Heartbeat>(&message.payload) != nullptr) {
-    return out;  // note_alive above is the whole effect
+  if (!proto::is_recovery_kind(proto::kind_of(message.payload))) {
+    // Protocol traffic from a sender believed dead still reaches the gate:
+    // its pre-crash epoch makes the automaton drop it as stale.
+    gate(message, out);
+    return out;
   }
+  if (!options_.enabled || is_dead(message.from)) return out;  // zombie
+
   if (const auto* suspicion = std::get_if<Suspect>(&message.payload)) {
     adopt_dead(suspicion->dead, now, out);
-    return out;
-  }
-  if (const auto* report = std::get_if<ElectToken>(&message.payload)) {
+  } else if (const auto* report = std::get_if<ElectToken>(&message.payload)) {
     // Converge onto the sender's dead set first; a report for a larger
-    // campaign implies every node it lists is dead.
+    // campaign implies every node it lists is dead. Then ignore a stale
+    // smaller campaign, a misdirected report (the sender lags) and a
+    // duplicate after this campaign minted.
     for (NodeId d : report->dead) adopt_dead(d, now, out);
-    if (report->dead != dead_) return out;  // stale smaller campaign
-    if (coordinator() != self_) return out;  // misdirected; sender lags
-    if (!halted_) return out;  // duplicate after this campaign minted
-    ingest_report(message.from, message.lock, *report);
-    maybe_mint(now, out);
-    return out;
-  }
-  if (const auto* fence = std::get_if<EpochFence>(&message.payload)) {
+    if (report->dead == dead_ && coordinator() == self_ && halted_) {
+      ingest_report(message.from, message.lock, *report);
+      maybe_mint(now, out);
+    }
+  } else if (const auto* fence = std::get_if<EpochFence>(&message.payload)) {
     for (NodeId d : fence->dead) adopt_dead(d, now, out);
-    if (fence->dead != dead_) return out;  // stale smaller campaign
-    apply_fence(message.lock, *fence, now, out);
-    return out;
-  }
-  HLOCK_INVARIANT(false, "protocol payload routed to the recovery manager");
+    if (fence->dead == dead_) {  // else a stale smaller campaign
+      apply_fence(message.lock, *fence, now, out);
+    }
+  }  // a Heartbeat's whole effect is the note_alive above
+  finish(out);
   return out;
+}
+
+void Manager::gate(const Message& message, Outcome& out) {
+  if (halted_) {
+    halted_msgs_.push_back(message);
+    return;
+  }
+  if (message.epoch > host_->recovery_epoch(message.lock)) {
+    // The sender is fenced into a newer epoch; our fence is still in
+    // flight. Delivering now would make the automaton drop a perfectly
+    // valid post-fence message.
+    parked_msgs_.push_back(message);
+    return;
+  }
+  core::Effects fx = host_->deliver(message);
+  if (fx.stale_drop) ++counters_.stale_drops;
+  out.effects.emplace_back(message.lock, std::move(fx));
+}
+
+void Manager::finish(Outcome& out) {
+  if (!out.unhalted) return;
+  // Parked messages first (they already belong to the fenced-in epoch),
+  // then the halted backlog, whose pre-fence messages stale-drop inside
+  // the automaton. Each goes back through the gate, so a message still
+  // ahead of the local epoch re-parks, and the whole backlog re-buffers if
+  // a new campaign halted the node again later in this step.
+  std::vector<Message> parked = std::move(parked_msgs_);
+  parked_msgs_.clear();
+  std::vector<Message> backlog = std::move(halted_msgs_);
+  halted_msgs_.clear();
+  for (const Message& message : parked) gate(message, out);
+  for (const Message& message : backlog) gate(message, out);
 }
 
 void Manager::adopt_dead(NodeId node, SimTime now, Outcome& out) {
@@ -344,7 +377,7 @@ void Manager::apply_fence(proto::LockId lock, const EpochFence& fence,
   if (fence.fence_count > 0 && fresh) {
     core::Effects fx = host_->install_fence(lock, fence);
     ++counters_.fences_installed;
-    out.fence_effects.emplace_back(lock, std::move(fx));
+    out.effects.emplace_back(lock, std::move(fx));
   }
   max_epoch_seen_ = std::max(max_epoch_seen_, fence.epoch);
   // Locks first touched after this recovery must root at a live node and
@@ -383,6 +416,11 @@ std::string Manager::fingerprint() const {
   }
   os << 'f' << fences_expected_ << ':';
   for (std::uint32_t i : fences_received_) os << i << ',';
+  os << 'H' << '{';
+  for (const Message& m : halted_msgs_) os << proto::to_string(m) << ';';
+  os << '}' << 'P' << '{';
+  for (const Message& m : parked_msgs_) os << proto::to_string(m) << ';';
+  os << '}';
   return os.str();
 }
 

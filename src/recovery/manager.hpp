@@ -1,29 +1,34 @@
-// Per-node crash-recovery manager: failure detection, coordinator election
-// and epoch-fenced token regeneration (docs/recovery.md).
+// Per-node crash-recovery manager: failure detection, coordinator election,
+// epoch-fenced token regeneration and the receive-side stale-message gate
+// (docs/recovery.md).
 //
 // One Manager runs next to each node's protocol engine, in both runtimes
 // (SimCluster schedules its ticks as events, ThreadCluster drives it from a
-// ticker thread). It is a pure state machine like the automatons: every
-// entry point returns an Outcome the runtime applies — recovery messages to
-// transmit, fence effects to apply to the engine, trace events to sink —
-// which keeps the whole recovery protocol explorable by the model checker.
+// ticker thread) and in the model checker. It is a pure state machine like
+// the automatons: every entry point returns an Outcome the runtime applies
+// — recovery messages to transmit, automaton effects to apply, trace
+// events to sink — which keeps the whole recovery protocol explorable by
+// the model checker. With recovery on, a runtime hands the Manager EVERY
+// incoming message; the gate that decides whether a protocol message
+// reaches the engine now, later or never is written only here.
 //
 // The protocol, in one paragraph: a node that suspects a peer dead (local
-// heartbeat timeout, or gossip) HALTS protocol processing — the runtime
-// buffers protocol messages and application operations while halted() — and
-// sends one ElectToken report per lock to the campaign's coordinator, the
-// lowest live node id. The coordinator, once it holds complete reports from
-// every live node for the current dead set, mints a campaign epoch that no
-// previous or concurrent campaign can have produced
-// (epoch = (floor(max_reported / n) + 1) * n + coordinator_id) and
-// broadcasts one EpochFence per reported lock: the token's new root, the
-// surviving holders and the reconstructed waiting queue. Receivers apply
-// each fence to the lock's automaton and, once the campaign's fence set is
-// complete, unhalt and replay their buffered traffic — whose old-epoch
-// messages the automatons now drop as stale. Reports reflect every message
-// their sender will ever act on in the old epoch (nothing is processed
-// between report and fence), which is the safety argument: the coordinator
-// accounts for every surviving hold and waiter exactly once.
+// heartbeat timeout, or gossip) HALTS protocol processing — the Manager
+// buffers incoming protocol messages and the runtime buffers application
+// operations while halted() — and sends one ElectToken report per lock to
+// the campaign's coordinator, the lowest live node id. The coordinator,
+// once it holds complete reports from every live node for the current dead
+// set, mints a campaign epoch that no previous or concurrent campaign can
+// have produced (epoch = (floor(max_reported / n) + 1) * n +
+// coordinator_id) and broadcasts one EpochFence per reported lock: the
+// token's new root, the surviving holders and the reconstructed waiting
+// queue. Receivers apply each fence to the lock's automaton and, once the
+// campaign's fence set is complete, unhalt: the Manager replays its
+// buffered traffic through the gate, and the automatons drop its old-epoch
+// messages as stale. Reports reflect every message their sender will ever
+// act on in the old epoch (nothing is processed between report and fence),
+// which is the safety argument: the coordinator accounts for every
+// surviving hold and waiter exactly once.
 //
 // Assumption: crash-stop failures and an eventually-accurate detector.
 // Suspicions are never retracted; a falsely suspected live node is fenced
@@ -71,6 +76,8 @@ struct RecoveryCounters {
   std::uint64_t campaigns_led = 0;     ///< fence sets minted as coordinator
   std::uint64_t fences_installed = 0;  ///< per-lock fences applied
   std::uint64_t recoveries = 0;        ///< halt -> unhalt cycles completed
+  /// Protocol messages the automatons dropped for a pre-fence epoch.
+  std::uint64_t stale_drops = 0;
 };
 
 /// What one Manager step asks the runtime to do.
@@ -78,19 +85,19 @@ struct Outcome {
   /// Recovery messages to transmit (heartbeats, suspicions, reports,
   /// fences). Never protocol messages.
   std::vector<proto::Message> messages;
-  /// Per-lock automaton effects from locally applied fences; the runtime
-  /// applies each exactly like a protocol step (transmit messages, sink
-  /// events, surface grants).
-  std::vector<std::pair<proto::LockId, core::Effects>> fence_effects;
+  /// Per-lock automaton effects, in the order the runtime must apply them:
+  /// locally installed fences, then protocol messages delivered through
+  /// the gate (an unhalt's replay comes after the fences that ended the
+  /// halt). The runtime applies each exactly like a protocol step
+  /// (transmit messages, sink events, surface grants).
+  std::vector<std::pair<proto::LockId, core::Effects>> effects;
   /// Recovery trace events (kNodeDead, from suspicion adoption) for the
-  /// runtime's event sink; kFence events travel inside fence_effects.
+  /// runtime's event sink; kFence events travel inside `effects`.
   std::vector<trace::TraceEvent> events;
-  /// The node just unhalted: the runtime must replay its buffered protocol
-  /// messages and application operations now.
+  /// The node just unhalted. The Manager already replayed its buffered
+  /// protocol messages (their effects are in `effects`); the runtime must
+  /// replay its buffered application operations now.
   bool unhalted = false;
-
-  /// Folds another outcome's content in (steps that cascade internally).
-  void merge(Outcome&& other);
 };
 
 /// See file comment.
@@ -104,8 +111,9 @@ class Manager {
   NodeId self() const { return self_; }
 
   /// True while protocol processing is halted (suspicion raised, campaign
-  /// fences not yet complete). The runtime must buffer protocol messages
-  /// and application operations, and replay them on Outcome::unhalted.
+  /// fences not yet complete). The Manager buffers protocol messages
+  /// itself; the runtime must buffer application operations and replay
+  /// them on Outcome::unhalted.
   bool halted() const { return halted_; }
 
   /// Nodes this manager believes crashed, ascending.
@@ -124,24 +132,41 @@ class Manager {
   }
 
   /// Records that any message from `from` arrived (refreshes the failure
-  /// detector). Runtimes call this for every delivery, so protocol traffic
-  /// doubles as liveness evidence.
+  /// detector). on_message calls it for every delivery, so protocol
+  /// traffic doubles as liveness evidence.
   void note_alive(NodeId from, SimTime now);
 
   /// Periodic driver: emits due heartbeats and raises timeout suspicions.
   /// Runtimes call it roughly every heartbeat_interval.
   Outcome on_tick(SimTime now);
 
-  /// Delivers one recovery message (is_recovery_kind). Protocol messages
-  /// never come here.
+  /// Delivers one incoming message of any kind and refreshes the sender's
+  /// detector entry. Recovery kinds (is_recovery_kind) drive the campaign;
+  /// those from a sender believed dead are dropped as zombie traffic. A
+  /// protocol message passes the gate: buffered while halted, parked while
+  /// its epoch is newer than the host's, otherwise delivered through
+  /// Host::deliver with its effects appended to Outcome::effects (and
+  /// counted in stale_drops if the automaton dropped it as pre-fence).
   Outcome on_message(const proto::Message& message, SimTime now);
 
   /// Directly injects a suspicion (model checker and tests; the timeout
   /// path funnels into the same transition).
   Outcome suspect(NodeId dead, SimTime now);
 
-  /// Canonical serialization of all behavior-relevant manager state (model
-  /// checker dedup). Excludes clocks and counters.
+  /// Crash-stop of this node: the buffered protocol messages die with its
+  /// volatile state.
+  void discard_backlog();
+
+  /// Protocol messages buffered while halted, in arrival order.
+  const std::vector<proto::Message>& halted_backlog() const {
+    return halted_msgs_;
+  }
+  /// Protocol messages parked for a newer epoch, in arrival order.
+  const std::vector<proto::Message>& parked() const { return parked_msgs_; }
+
+  /// Canonical serialization of all behavior-relevant manager state,
+  /// buffered messages included (model checker dedup). Excludes clocks and
+  /// counters.
   std::string fingerprint() const;
 
  private:
@@ -168,6 +193,11 @@ class Manager {
   void apply_fence(proto::LockId lock, const proto::EpochFence& fence,
                    SimTime now, Outcome& out);
   void unhalt(SimTime now, Outcome& out);
+  /// The stale-message gate for one protocol message.
+  void gate(const proto::Message& message, Outcome& out);
+  /// Ends a public step: after an unhalt, replays parked-then-halted
+  /// messages through the gate (after the step's fence effects).
+  void finish(Outcome& out);
   /// Campaign coordinator: the lowest node id not believed dead.
   NodeId coordinator() const;
   std::vector<NodeId> live_peers() const;
@@ -194,6 +224,13 @@ class Manager {
   // Receiver state: fences collected for the current dead_ set.
   std::set<std::uint32_t> fences_received_;  ///< fence_index values
   std::uint32_t fences_expected_ = UINT32_MAX;
+
+  // Gate backlog, replayed on unhalt.
+  std::vector<proto::Message> halted_msgs_;
+  /// From a newer recovery epoch than the local automaton's, parked until
+  /// the matching fence lands (delivering early would make the automaton
+  /// stale-drop a post-fence message).
+  std::vector<proto::Message> parked_msgs_;
 
   RecoveryCounters counters_;
   std::vector<double> recovery_ms_;

@@ -2,30 +2,15 @@
 
 #include <algorithm>
 
-#include "util/check.hpp"
-
 namespace hlock::runtime {
 
-std::vector<LockId> LockEngine::recovery_locks() {
+namespace {
+
+[[noreturn]] void no_recovery() {
   throw UsageError("this protocol has no crash-recovery support");
 }
 
-recovery::LockReport LockEngine::report(LockId /*lock*/) {
-  throw UsageError("this protocol has no crash-recovery support");
-}
-
-Effects LockEngine::install_fence(LockId /*lock*/,
-                                  const proto::EpochFence& /*fence*/) {
-  throw UsageError("this protocol has no crash-recovery support");
-}
-
-std::uint32_t LockEngine::recovery_epoch(LockId /*lock*/) {
-  throw UsageError("this protocol has no crash-recovery support");
-}
-
-void LockEngine::set_default_origin(NodeId /*root*/, std::uint32_t /*epoch*/) {
-  throw UsageError("this protocol has no crash-recovery support");
-}
+}  // namespace
 
 std::string to_string(Protocol protocol) {
   switch (protocol) {
@@ -39,251 +24,158 @@ std::string to_string(Protocol protocol) {
   return "?";
 }
 
-HierEngine::HierEngine(NodeId self, NodeId initial_root,
-                       core::HierConfig config)
-    : self_(self), initial_root_(initial_root), config_(config) {
-  HLOCK_REQUIRE(!initial_root.is_none(), "a cluster needs an initial root");
-}
-
-core::HierAutomaton& HierEngine::automaton(LockId lock) {
-  // Single hash lookup on the hot path: try_emplace forwards the
-  // constructor arguments and only builds the automaton when the lock is
-  // new.
-  const bool is_root = self_ == initial_root_;
-  return automatons_
-      .try_emplace(lock, self_, lock, is_root,
-                   is_root ? NodeId::none() : initial_root_, config_,
-                   initial_epoch_)
-      .first->second;
-}
-
-Effects HierEngine::request(LockId lock, LockMode mode,
-                            std::uint8_t priority) {
-  return automaton(lock).request(mode, priority);
-}
-
-Effects HierEngine::release(LockId lock) { return automaton(lock).release(); }
-
-Effects HierEngine::upgrade(LockId lock) { return automaton(lock).upgrade(); }
-
-Effects HierEngine::deliver(const proto::Message& message) {
-  return automaton(message.lock).on_message(message);
-}
-
-bool HierEngine::holds(LockId lock) const {
-  auto it = automatons_.find(lock);
-  return it != automatons_.end() &&
-         it->second.held() != proto::LockMode::kNL;
-}
-
-std::size_t HierEngine::queued_requests() const {
-  std::size_t total = 0;
-  for (const auto& [lock, automaton] : automatons_) {
-    total += automaton.queue().size();
-  }
-  return total;
-}
-
-std::size_t HierEngine::tokens_held() const {
-  std::size_t total = 0;
-  for (const auto& [lock, automaton] : automatons_) {
-    total += automaton.is_token() ? 1u : 0u;
-  }
-  return total;
-}
-
-std::vector<LockId> HierEngine::recovery_locks() {
-  std::vector<LockId> locks;
-  locks.reserve(automatons_.size());
-  for (const auto& [lock, automaton] : automatons_) locks.push_back(lock);
-  std::sort(locks.begin(), locks.end());
-  return locks;
-}
-
-recovery::LockReport HierEngine::report(LockId lock) {
-  const core::HierAutomaton& a = automaton(lock);
-  recovery::LockReport r;
-  r.epoch = a.recovery_epoch();
-  r.has_token = a.is_token();
-  r.held = a.held();
-  r.upgrading = a.upgrading();
-  // An upgrader does not report as waiting: its pending W is preserved as
-  // an in-flight Rule 7 upgrade at the root, not re-queued.
-  r.waiting = !a.upgrading() && a.pending() != proto::LockMode::kNL;
-  if (r.waiting) {
-    r.wait_mode = a.pending();
-    r.wait_seq = a.pending_seq();
-    r.wait_priority = a.pending_priority();
-  }
-  return r;
-}
-
-Effects HierEngine::install_fence(LockId lock,
-                                  const proto::EpochFence& fence) {
-  return automaton(lock).install_fence(fence);
-}
-
-std::uint32_t HierEngine::recovery_epoch(LockId lock) {
-  // A lock this node has not touched would be lazily created at
-  // initial_epoch_, so that is its effective epoch: reporting 0 here would
-  // make the cluster's newer-epoch gate park the first post-recovery
-  // message for the lock forever (the node is not halted, so parked
-  // messages are never replayed).
-  auto it = automatons_.find(lock);
-  return it == automatons_.end() ? initial_epoch_
-                                 : it->second.recovery_epoch();
-}
-
-void HierEngine::set_default_origin(NodeId root, std::uint32_t epoch) {
-  initial_root_ = root;
-  initial_epoch_ = epoch;
-}
-
-NaimiEngine::NaimiEngine(NodeId self, NodeId initial_root)
-    : self_(self), initial_root_(initial_root) {
-  HLOCK_REQUIRE(!initial_root.is_none(), "a cluster needs an initial root");
-}
-
-naimi::NaimiAutomaton& NaimiEngine::automaton(LockId lock) {
-  // Single hash lookup on the hot path (see HierEngine::automaton).
-  const bool is_root = self_ == initial_root_;
-  return automatons_
-      .try_emplace(lock, self_, lock, is_root,
-                   is_root ? NodeId::none() : initial_root_, initial_epoch_)
-      .first->second;
-}
-
-Effects NaimiEngine::request(LockId lock, LockMode /*mode*/,
-                             std::uint8_t /*priority*/) {
-  return automaton(lock).request();
-}
-
-Effects NaimiEngine::release(LockId lock) { return automaton(lock).release(); }
-
-Effects NaimiEngine::upgrade(LockId /*lock*/) {
-  throw UsageError("the Naimi baseline has no upgrade operation");
-}
-
-Effects NaimiEngine::deliver(const proto::Message& message) {
-  return automaton(message.lock).on_message(message);
-}
-
-bool NaimiEngine::holds(LockId lock) const {
-  auto it = automatons_.find(lock);
-  return it != automatons_.end() && it->second.in_cs();
-}
-
-std::size_t NaimiEngine::queued_requests() const {
-  // Naimi's waiting list is distributed: each node knows only its own
-  // successor, so "queued here" = a non-none next pointer.
-  std::size_t total = 0;
-  for (const auto& [lock, automaton] : automatons_) {
-    total += automaton.next().is_none() ? 0u : 1u;
-  }
-  return total;
-}
-
-std::size_t NaimiEngine::tokens_held() const {
-  std::size_t total = 0;
-  for (const auto& [lock, automaton] : automatons_) {
-    total += automaton.has_token() ? 1u : 0u;
-  }
-  return total;
-}
-
-std::vector<LockId> NaimiEngine::recovery_locks() {
-  std::vector<LockId> locks;
-  locks.reserve(automatons_.size());
-  for (const auto& [lock, automaton] : automatons_) locks.push_back(lock);
-  std::sort(locks.begin(), locks.end());
-  return locks;
-}
-
-recovery::LockReport NaimiEngine::report(LockId lock) {
-  const naimi::NaimiAutomaton& a = automaton(lock);
+recovery::LockReport NaimiTraits::report(const Automaton& a) {
   recovery::LockReport r;
   r.epoch = a.recovery_epoch();
   r.has_token = a.has_token();
   // Naimi's single exclusive mode maps onto kW for the fence's holder
   // bookkeeping (only "inside the CS" counts as holding).
-  r.held = a.in_cs() ? proto::LockMode::kW : proto::LockMode::kNL;
+  r.held = a.in_cs() ? LockMode::kW : LockMode::kNL;
   r.waiting = a.requesting();
   if (r.waiting) {
-    r.wait_mode = proto::LockMode::kW;
+    r.wait_mode = LockMode::kW;
     r.wait_seq = a.pending_seq();
   }
   return r;
 }
 
-Effects NaimiEngine::install_fence(LockId lock,
-                                   const proto::EpochFence& fence) {
-  return automaton(lock).install_fence(fence);
-}
-
-std::uint32_t NaimiEngine::recovery_epoch(LockId lock) {
-  // See HierEngine::recovery_epoch: an untouched lock's effective epoch is
-  // the one it would be lazily created in.
-  auto it = automatons_.find(lock);
-  return it == automatons_.end() ? initial_epoch_
-                                 : it->second.recovery_epoch();
-}
-
-void NaimiEngine::set_default_origin(NodeId root, std::uint32_t epoch) {
-  initial_root_ = root;
-  initial_epoch_ = epoch;
-}
-
-RaymondEngine::RaymondEngine(NodeId self, std::size_t node_count)
-    : self_(self) {
+RaymondTraits::RaymondTraits(NodeId self, std::size_t node_count) {
   HLOCK_REQUIRE(self.value() < node_count, "self must be within the tree");
-  position_ = raymond::balanced_tree(node_count)[self.value()];
+  position = raymond::balanced_tree(node_count)[self.value()];
   // Non-root holders point toward node 0; the root holds the token.
-  if (self.value() == 0) position_.holder = self;
+  if (self == initial_root) position.holder = self;
 }
 
-raymond::RaymondAutomaton& RaymondEngine::automaton(LockId lock) {
-  // Single hash lookup on the hot path (see HierEngine::automaton).
-  return automatons_
-      .try_emplace(lock, self_, lock, position_.holder, position_.neighbors)
-      .first->second;
+template <typename Traits>
+typename Traits::Automaton& BasicEngine<Traits>::automaton(LockId lock) {
+  // Single hash lookup on the hot path: try_emplace forwards the
+  // constructor arguments and only builds the automaton when the lock is
+  // new.
+  return std::apply(
+      [&](const auto&... args) -> Automaton& {
+        return automatons_.try_emplace(lock, args...).first->second;
+      },
+      traits_.automaton_args(self_, lock, origin_));
 }
 
-Effects RaymondEngine::request(LockId lock, LockMode /*mode*/,
-                               std::uint8_t /*priority*/) {
-  return automaton(lock).request();
+template <typename Traits>
+Effects BasicEngine<Traits>::request(LockId lock, LockMode mode,
+                                     std::uint8_t priority) {
+  return Traits::request(automaton(lock), mode, priority);
 }
 
-Effects RaymondEngine::release(LockId lock) {
+template <typename Traits>
+Effects BasicEngine<Traits>::release(LockId lock) {
   return automaton(lock).release();
 }
 
-Effects RaymondEngine::upgrade(LockId /*lock*/) {
-  throw UsageError("Raymond's baseline has no upgrade operation");
+template <typename Traits>
+Effects BasicEngine<Traits>::upgrade(LockId lock) {
+  return Traits::upgrade(automaton(lock));
 }
 
-Effects RaymondEngine::deliver(const proto::Message& message) {
+template <typename Traits>
+Effects BasicEngine<Traits>::deliver(const proto::Message& message) {
   return automaton(message.lock).on_message(message);
 }
 
-bool RaymondEngine::holds(LockId lock) const {
-  auto it = automatons_.find(lock);
-  return it != automatons_.end() && it->second.in_cs();
+template <typename Traits>
+bool BasicEngine<Traits>::holds(LockId lock) const {
+  const auto it = automatons_.find(lock);
+  return it != automatons_.end() && Traits::holds(it->second);
 }
 
-std::size_t RaymondEngine::queued_requests() const {
+template <typename Traits>
+std::size_t BasicEngine<Traits>::queued_requests() const {
   std::size_t total = 0;
-  for (const auto& [lock, automaton] : automatons_) {
-    total += automaton.request_queue().size();
+  for (const auto& [lock, a] : automatons_) total += Traits::queued(a);
+  return total;
+}
+
+template <typename Traits>
+std::size_t BasicEngine<Traits>::tokens_held() const {
+  std::size_t total = 0;
+  for (const auto& [lock, a] : automatons_) {
+    total += Traits::has_token(a) ? 1u : 0u;
   }
   return total;
 }
 
-std::size_t RaymondEngine::tokens_held() const {
-  std::size_t total = 0;
-  for (const auto& [lock, automaton] : automatons_) {
-    total += automaton.has_token() ? 1u : 0u;
+template <typename Traits>
+std::vector<LockId> BasicEngine<Traits>::recovery_locks() {
+  if constexpr (!Traits::kRecovery) no_recovery();
+  std::vector<LockId> locks;
+  locks.reserve(automatons_.size());
+  for (const auto& [lock, a] : automatons_) locks.push_back(lock);
+  std::sort(locks.begin(), locks.end());
+  return locks;
+}
+
+template <typename Traits>
+recovery::LockReport BasicEngine<Traits>::report(LockId lock) {
+  if constexpr (Traits::kRecovery) {
+    return Traits::report(automaton(lock));
+  } else {
+    no_recovery();
   }
-  return total;
+}
+
+template <typename Traits>
+Effects BasicEngine<Traits>::install_fence(LockId lock,
+                                           const proto::EpochFence& fence) {
+  if constexpr (Traits::kRecovery) {
+    return automaton(lock).install_fence(fence);
+  } else {
+    no_recovery();
+  }
+}
+
+template <typename Traits>
+std::uint32_t BasicEngine<Traits>::recovery_epoch(LockId lock) {
+  if constexpr (Traits::kRecovery) {
+    // A lock this node has not touched would be lazily created in the
+    // origin epoch, so that is its effective epoch: reporting 0 here would
+    // make the gate park the first post-recovery message for the lock
+    // forever (the node is not halted, so parked messages are never
+    // replayed).
+    const auto it = automatons_.find(lock);
+    return it == automatons_.end() ? origin_.epoch
+                                   : it->second.recovery_epoch();
+  } else {
+    no_recovery();
+  }
+}
+
+template <typename Traits>
+void BasicEngine<Traits>::set_default_origin(NodeId root,
+                                             std::uint32_t epoch) {
+  if constexpr (!Traits::kRecovery) no_recovery();
+  origin_ = Origin{root, epoch};
+}
+
+template class BasicEngine<HierTraits>;
+template class BasicEngine<NaimiTraits>;
+template class BasicEngine<RaymondTraits>;
+
+std::unique_ptr<LockEngine> make_engine(Protocol protocol, NodeId self,
+                                        std::size_t node_count,
+                                        NodeId initial_root,
+                                        const core::HierConfig& hier_config,
+                                        bool recovery) {
+  switch (protocol) {
+    case Protocol::kHierarchical:
+      return std::make_unique<HierEngine>(self, initial_root, hier_config);
+    case Protocol::kNaimi:
+      return std::make_unique<NaimiEngine>(self, initial_root);
+    case Protocol::kRaymond:
+      HLOCK_REQUIRE(!recovery,
+                    "crash recovery is not supported for the Raymond baseline");
+      HLOCK_REQUIRE(initial_root == NodeId{0},
+                    "the Raymond tree is rooted at node 0");
+      return std::make_unique<RaymondEngine>(self, node_count);
+  }
+  HLOCK_INVARIANT(false, "unknown protocol");
+  return nullptr;
 }
 
 }  // namespace hlock::runtime

@@ -16,25 +16,13 @@ SimCluster::SimCluster(const SimClusterOptions& options)
                 "loss probability must be within [0, 1]");
   HLOCK_REQUIRE(options.initial_root.value() < options.node_count,
                 "the initial root must be one of the cluster's nodes");
-  HLOCK_REQUIRE(
-      !(options.recovery.enabled && options.protocol == Protocol::kRaymond),
-      "crash recovery is not supported for the Raymond baseline");
   clocks_.resize(options.node_count);
   engines_.reserve(options.node_count);
   for (std::size_t i = 0; i < options.node_count; ++i) {
-    const NodeId self{static_cast<std::uint32_t>(i)};
-    if (options.protocol == Protocol::kHierarchical) {
-      engines_.push_back(std::make_unique<HierEngine>(
-          self, options.initial_root, options.hier_config));
-    } else if (options.protocol == Protocol::kRaymond) {
-      HLOCK_REQUIRE(options.initial_root == NodeId{0},
-                    "the Raymond tree is rooted at node 0");
-      engines_.push_back(
-          std::make_unique<RaymondEngine>(self, options.node_count));
-    } else {
-      engines_.push_back(
-          std::make_unique<NaimiEngine>(self, options.initial_root));
-    }
+    engines_.push_back(make_engine(
+        options.protocol, NodeId{static_cast<std::uint32_t>(i)},
+        options.node_count, options.initial_root, options.hier_config,
+        options.recovery.enabled));
   }
   alive_.assign(options.node_count, 1);
   if (options.recovery.enabled) {
@@ -44,10 +32,7 @@ SimCluster::SimCluster(const SimClusterOptions& options)
           NodeId{static_cast<std::uint32_t>(i)}, options.node_count,
           options.recovery, engines_[i].get()));
     }
-    halted_msgs_.resize(options.node_count);
-    parked_msgs_.resize(options.node_count);
     halted_ops_.resize(options.node_count);
-    stale_drops_.assign(options.node_count, 0);
     schedule_recovery_tick();
   }
 }
@@ -88,38 +73,33 @@ raymond::RaymondAutomaton& SimCluster::raymond_automaton(NodeId node,
   return static_cast<RaymondEngine&>(engine(node)).automaton(lock);
 }
 
+bool SimCluster::admit(NodeId node, const PendingOp& op) {
+  HLOCK_REQUIRE(node.value() < engines_.size(), "unknown node id");
+  if (!alive_[node.value()]) return false;  // crashed nodes ignore the app
+  if (recovery_on() && managers_[node.value()]->halted()) {
+    halted_ops_[node.value()].push_back(op);
+    return false;
+  }
+  return true;
+}
+
 void SimCluster::request(NodeId node, LockId lock, LockMode mode,
                          std::uint8_t priority) {
-  HLOCK_REQUIRE(node.value() < engines_.size(), "unknown node id");
-  if (!alive_[node.value()]) return;  // crashed nodes ignore the application
-  if (recovery_on() && managers_[node.value()]->halted()) {
-    halted_ops_[node.value()].push_back(
-        {PendingOp::Kind::kRequest, lock, mode, priority});
-    return;
+  if (admit(node, {PendingOp::Kind::kRequest, lock, mode, priority})) {
+    apply(node, lock, engine(node).request(lock, mode, priority));
   }
-  apply(node, lock, engine(node).request(lock, mode, priority));
 }
 
 void SimCluster::release(NodeId node, LockId lock) {
-  HLOCK_REQUIRE(node.value() < engines_.size(), "unknown node id");
-  if (!alive_[node.value()]) return;
-  if (recovery_on() && managers_[node.value()]->halted()) {
-    halted_ops_[node.value()].push_back(
-        {PendingOp::Kind::kRelease, lock, LockMode::kNL, 0});
-    return;
+  if (admit(node, {PendingOp::Kind::kRelease, lock, LockMode::kNL, 0})) {
+    apply(node, lock, engine(node).release(lock));
   }
-  apply(node, lock, engine(node).release(lock));
 }
 
 void SimCluster::upgrade(NodeId node, LockId lock) {
-  HLOCK_REQUIRE(node.value() < engines_.size(), "unknown node id");
-  if (!alive_[node.value()]) return;
-  if (recovery_on() && managers_[node.value()]->halted()) {
-    halted_ops_[node.value()].push_back(
-        {PendingOp::Kind::kUpgrade, lock, LockMode::kNL, 0});
-    return;
+  if (admit(node, {PendingOp::Kind::kUpgrade, lock, LockMode::kNL, 0})) {
+    apply(node, lock, engine(node).upgrade(lock));
   }
-  apply(node, lock, engine(node).upgrade(lock));
 }
 
 void SimCluster::kill_at(NodeId node, SimTime at) {
@@ -143,12 +123,14 @@ recovery::Manager& SimCluster::manager(NodeId node) {
 
 std::uint64_t SimCluster::stale_drops(NodeId node) const {
   HLOCK_REQUIRE(node.value() < engines_.size(), "unknown node id");
-  return recovery_on() ? stale_drops_[node.value()] : 0;
+  return recovery_on() ? managers_[node.value()]->counters().stale_drops : 0;
 }
 
 std::uint64_t SimCluster::total_stale_drops() const {
   std::uint64_t total = 0;
-  for (const std::uint64_t n : stale_drops_) total += n;
+  for (const auto& manager : managers_) {
+    total += manager->counters().stale_drops;
+  }
   return total;
 }
 
@@ -157,8 +139,7 @@ void SimCluster::crash(NodeId node) {
   alive_[node.value()] = 0;
   // A crash-stop loses all volatile state; whatever was buffered for the
   // node dies with it.
-  halted_msgs_[node.value()].clear();
-  parked_msgs_[node.value()].clear();
+  managers_[node.value()]->discard_backlog();
   halted_ops_[node.value()].clear();
 }
 
@@ -177,22 +158,27 @@ void SimCluster::schedule_recovery_tick() {
   });
 }
 
-void SimCluster::apply(NodeId node, LockId lock, Effects&& effects) {
-  // One Lamport tick per automaton step; every event of the step shares it,
-  // every send ticks further (obs/lamport.hpp).
+void SimCluster::emit(NodeId node, std::vector<trace::TraceEvent>& events,
+                      std::vector<proto::Message>& messages) {
+  // One Lamport tick per step; every event of the step shares it, every
+  // send ticks further (obs/lamport.hpp).
   obs::LamportClock& clock = clocks_[node.value()];
   const std::uint64_t step_time = clock.tick();
   if (event_observer_) {
-    for (trace::TraceEvent& event : effects.events) {
+    for (trace::TraceEvent& event : events) {
       event.at = simulator_.now();
       event.lamport = step_time;
       event_observer_(std::move(event));
     }
   }
-  for (proto::Message& message : effects.messages) {
+  for (proto::Message& message : messages) {
     message.lamport = clock.tick();
     transmit(message);
   }
+}
+
+void SimCluster::apply(NodeId node, LockId lock, Effects&& effects) {
+  emit(node, effects.events, effects.messages);
   if (effects.entered_cs || effects.upgraded) {
     HLOCK_INVARIANT(static_cast<bool>(grant_handler_),
                     "a grant fired but no grant handler is registered");
@@ -201,40 +187,23 @@ void SimCluster::apply(NodeId node, LockId lock, Effects&& effects) {
 }
 
 void SimCluster::apply_outcome(NodeId node, recovery::Outcome&& outcome) {
-  obs::LamportClock& clock = clocks_[node.value()];
-  const std::uint64_t step_time = clock.tick();
-  if (event_observer_) {
-    for (trace::TraceEvent& event : outcome.events) {
-      event.at = simulator_.now();
-      event.lamport = step_time;
-      event_observer_(std::move(event));
-    }
+  // The Manager's own events and messages form one Lamport step; a plain
+  // gated delivery has neither and is stamped by apply() alone.
+  if (!outcome.events.empty() || !outcome.messages.empty()) {
+    emit(node, outcome.events, outcome.messages);
   }
-  for (proto::Message& message : outcome.messages) {
-    message.lamport = clock.tick();
-    transmit(message);
-  }
-  for (auto& [lock, effects] : outcome.fence_effects) {
+  for (auto& [lock, effects] : outcome.effects) {
     apply(node, lock, std::move(effects));
   }
-  if (outcome.unhalted) replay_buffers(node);
+  if (outcome.unhalted) replay_ops(node);
 }
 
-void SimCluster::replay_buffers(NodeId node) {
-  const std::size_t i = node.value();
-  // Epoch-parked messages first (they already belong to the fenced-in
-  // epoch), then the halted backlog — its pre-fence messages stale-drop
-  // inside the automaton — then the buffered application operations. Each
-  // goes back through the normal routing, so a message can re-park or
-  // re-buffer if another campaign started meanwhile.
-  std::vector<proto::Message> parked = std::move(parked_msgs_[i]);
-  parked_msgs_[i].clear();
-  std::vector<proto::Message> backlog = std::move(halted_msgs_[i]);
-  halted_msgs_[i].clear();
-  std::vector<PendingOp> ops = std::move(halted_ops_[i]);
-  halted_ops_[i].clear();
-  for (proto::Message& message : parked) deliver(message);
-  for (proto::Message& message : backlog) deliver(message);
+void SimCluster::replay_ops(NodeId node) {
+  // The Manager already replayed the node's buffered messages (their
+  // effects were applied above); the buffered application operations
+  // follow, through the normal paths.
+  std::vector<PendingOp> ops = std::move(halted_ops_[node.value()]);
+  halted_ops_[node.value()].clear();
   for (const PendingOp& op : ops) {
     switch (op.kind) {
       case PendingOp::Kind::kRequest:
@@ -267,31 +236,13 @@ void SimCluster::deliver(const proto::Message& message) {
   if (!alive_[to]) return;  // crashed receivers consume nothing
   clocks_[to].observe(message.lamport);
   if (recovery_on()) {
-    recovery::Manager& manager = *managers_[to];
-    // Any delivery is liveness evidence; messages a node sent before its
-    // crash still refresh its detector entry, exactly as over a real
-    // network.
-    manager.note_alive(message.from, simulator_.now());
-    if (proto::is_recovery_kind(proto::kind_of(message.payload))) {
-      apply_outcome(message.to,
-                    manager.on_message(message, simulator_.now()));
-      return;
-    }
-    if (manager.halted()) {
-      halted_msgs_[to].push_back(message);
-      return;
-    }
-    if (message.epoch > engine(message.to).recovery_epoch(message.lock)) {
-      // The sender is fenced into a newer epoch than this node; our fence
-      // is still in flight. Park the message — delivering it now would
-      // make the automaton drop a perfectly valid post-fence message.
-      parked_msgs_[to].push_back(message);
-      return;
-    }
+    // Messages a node sent before its crash still refresh its detector
+    // entry, exactly as over a real network.
+    apply_outcome(message.to,
+                  managers_[to]->on_message(message, simulator_.now()));
+    return;
   }
-  Effects effects = engine(message.to).deliver(message);
-  if (effects.stale_drop) ++stale_drops_[to];
-  apply(message.to, message.lock, std::move(effects));
+  apply(message.to, message.lock, engine(message.to).deliver(message));
 }
 
 }  // namespace hlock::runtime

@@ -149,17 +149,23 @@ class SimCluster {
   };
 
   bool recovery_on() const { return !managers_.empty(); }
+  /// False if `node` must not run `op` now: crashed (dropped) or halted
+  /// (buffered for the replay on unhalt).
+  bool admit(NodeId node, const PendingOp& op);
+  /// Sinks one step's events and transmits its messages, stamped with the
+  /// node's Lamport clock.
+  void emit(NodeId node, std::vector<trace::TraceEvent>& events,
+            std::vector<proto::Message>& messages);
   void apply(NodeId node, LockId lock, Effects&& effects);
   void transmit(const proto::Message& message);
-  /// Receive-side routing: dead-node drop, failure-detector refresh,
-  /// recovery-kind dispatch, halt/epoch buffering, then engine delivery.
+  /// Receive side: dead-node drop, Lamport merge, then the recovery
+  /// Manager's gate (recovery on) or straight engine delivery.
   void deliver(const proto::Message& message);
   /// Applies one Manager step: sinks its events, transmits its messages,
-  /// applies its fence effects and replays buffers on unhalt.
+  /// applies its automaton effects and, on unhalt, replays the buffered
+  /// application operations.
   void apply_outcome(NodeId node, recovery::Outcome&& outcome);
-  /// Re-runs parked and halted-backlog messages plus buffered application
-  /// operations through the normal paths (stale ones drop in the engine).
-  void replay_buffers(NodeId node);
+  void replay_ops(NodeId node);
   void crash(NodeId node);
   void schedule_recovery_tick();
 
@@ -173,15 +179,9 @@ class SimCluster {
   /// Empty unless options_.recovery.enabled; one manager per node.
   std::vector<std::unique_ptr<recovery::Manager>> managers_;
   std::vector<char> alive_;
-  /// Protocol messages received while halted, replayed on unhalt.
-  std::vector<std::vector<proto::Message>> halted_msgs_;
-  /// Messages from a newer recovery epoch than the local automaton's,
-  /// parked until the matching fence lands (delivering early would make
-  /// the automaton stale-drop a post-fence message).
-  std::vector<std::vector<proto::Message>> parked_msgs_;
-  /// Application operations issued while halted, replayed on unhalt.
+  /// Application operations issued while halted, replayed on unhalt (the
+  /// Manager buffers the protocol messages).
   std::vector<std::vector<PendingOp>> halted_ops_;
-  std::vector<std::uint64_t> stale_drops_;
   GrantHandler grant_handler_;
   MessageObserver message_observer_;
   EventObserver event_observer_;

@@ -9,19 +9,12 @@ namespace hlock::runtime {
 
 namespace {
 
-std::unique_ptr<LockEngine> make_engine(const ThreadClusterOptions& options,
-                                        NodeId self) {
-  std::unique_ptr<LockEngine> engine;
-  if (options.protocol == Protocol::kHierarchical) {
-    engine = std::make_unique<HierEngine>(self, options.initial_root,
-                                          options.hier_config);
-  } else if (options.protocol == Protocol::kRaymond) {
-    HLOCK_REQUIRE(options.initial_root == NodeId{0},
-                  "the Raymond tree is rooted at node 0");
-    engine = std::make_unique<RaymondEngine>(self, options.node_count);
-  } else {
-    engine = std::make_unique<NaimiEngine>(self, options.initial_root);
-  }
+std::unique_ptr<LockEngine> make_shard_engine(
+    const ThreadClusterOptions& options, NodeId self) {
+  std::unique_ptr<LockEngine> engine =
+      make_engine(options.protocol, self, options.node_count,
+                  options.initial_root, options.hier_config,
+                  options.recovery.enabled);
   if (options.metrics != nullptr) {
     engine = std::make_unique<InstrumentedEngine>(
         std::move(engine), *options.metrics, options.protocol, self);
@@ -81,9 +74,6 @@ ThreadCluster::ThreadCluster(const ThreadClusterOptions& options)
   HLOCK_REQUIRE(options.node_count >= 1, "a cluster needs at least one node");
   HLOCK_REQUIRE(options.initial_root.value() < options.node_count,
                 "the initial root must be one of the cluster's nodes");
-  HLOCK_REQUIRE(
-      !(options.recovery.enabled && options.protocol == Protocol::kRaymond),
-      "crash recovery is not supported for the Raymond baseline");
   HLOCK_REQUIRE(!(options.recovery.enabled && options.engine_shards > 1),
                 "crash recovery requires engine_shards <= 1: the manager "
                 "reports over the node's whole lock space");
@@ -118,7 +108,7 @@ ThreadCluster::ThreadCluster(const ThreadClusterOptions& options)
       // of a foreign object as far as the analysis is concerned — take the
       // (uncontended, once-per-shard) lock rather than suppress.
       MutexLock guard(shard->mutex);
-      shard->engine = make_engine(options, self);
+      shard->engine = make_shard_engine(options, self);
       if (options.recovery.enabled && s == 0) {
         rt->manager = std::make_unique<recovery::Manager>(
             self, options.node_count, options.recovery,
@@ -289,13 +279,8 @@ bool ThreadCluster::dispatch_batch(NodeRuntime& rt, NodeId node,
       try {
         rt.clock.observe(message.lamport);
         if (recovery_.enabled) {
-          rt.manager->note_alive(message.from, wall_now());
-          if (proto::is_recovery_kind(proto::kind_of(message.payload))) {
-            apply_outcome(rt, shard,
-                          rt.manager->on_message(message, wall_now()));
-          } else {
-            deliver_protocol(rt, shard, message);
-          }
+          apply_outcome(rt, shard,
+                        rt.manager->on_message(message, wall_now()));
         } else {
           Effects effects = shard.engine->deliver(message);
           apply(rt, shard, message.lock, std::move(effects));
@@ -350,63 +335,19 @@ void ThreadCluster::ticker_loop() {
   }
 }
 
-void ThreadCluster::deliver_protocol(NodeRuntime& rt, Shard& shard,
-                                     const proto::Message& message) {
-  if (rt.manager->halted()) {
-    rt.halted_msgs.push_back(message);
-    return;
-  }
-  if (message.epoch > shard.engine->recovery_epoch(message.lock)) {
-    // The sender is fenced into a newer epoch; our fence is still in
-    // flight. Park the message — delivering it now would make the
-    // automaton drop a perfectly valid post-fence message.
-    rt.parked_msgs.push_back(message);
-    return;
-  }
-  Effects effects = shard.engine->deliver(message);
-  if (effects.stale_drop) ++rt.stale_drops;
-  apply(rt, shard, message.lock, std::move(effects));
-}
-
 void ThreadCluster::apply_outcome(NodeRuntime& rt, Shard& shard,
                                   recovery::Outcome&& outcome) {
-  const std::uint64_t step_time = rt.clock.tick();
-  if (!outcome.events.empty()) {
-    const SimTime at = wall_now();
-    MutexLock sink_guard(event_mutex_);
-    if (event_sink_) {
-      for (trace::TraceEvent& event : outcome.events) {
-        event.at = at;
-        event.lamport = step_time;
-        event_sink_(std::move(event));
-      }
-    }
+  // The Manager's own events and messages form one Lamport step; a plain
+  // gated delivery has neither and is stamped by apply() alone.
+  if (!outcome.events.empty() || !outcome.messages.empty()) {
+    emit(rt, outcome.events, outcome.messages);
   }
-  if (!outcome.messages.empty()) {
-    for (proto::Message& message : outcome.messages) {
-      message.lamport = rt.clock.tick();
-    }
-    transport_->send_batch(std::move(outcome.messages));
-  }
-  for (auto& [lock, effects] : outcome.fence_effects) {
+  for (auto& [lock, effects] : outcome.effects) {
     apply(rt, shard, lock, std::move(effects));
   }
-  if (outcome.unhalted) {
-    // Replay through the same routing (a message can re-park or re-buffer
-    // if another campaign began meanwhile), then wake the client calls
-    // blocked in wait_unhalted().
-    std::vector<proto::Message> parked = std::move(rt.parked_msgs);
-    rt.parked_msgs.clear();
-    std::vector<proto::Message> backlog = std::move(rt.halted_msgs);
-    rt.halted_msgs.clear();
-    for (const proto::Message& message : parked) {
-      deliver_protocol(rt, shard, message);
-    }
-    for (const proto::Message& message : backlog) {
-      deliver_protocol(rt, shard, message);
-    }
-    shard.cv.notify_all();
-  }
+  // The Manager replayed its buffered messages on unhalt; wake the client
+  // calls blocked in wait_unhalted().
+  if (outcome.unhalted) shard.cv.notify_all();
   publish_recovery_metrics(rt);
 }
 
@@ -428,9 +369,9 @@ void ThreadCluster::publish_recovery_metrics(NodeRuntime& rt) {
   rt.suspicions->inc(counters.suspicions - rt.published.suspicions);
   rt.fences->inc(counters.fences_installed - rt.published.fences_installed);
   rt.recoveries->inc(counters.recoveries - rt.published.recoveries);
-  rt.stale_drops_metric->inc(rt.stale_drops - rt.published_stale);
+  rt.stale_drops_metric->inc(counters.stale_drops -
+                             rt.published.stale_drops);
   rt.published = counters;
-  rt.published_stale = rt.stale_drops;
   const std::vector<double>& samples = rt.manager->recovery_durations_ms();
   for (; rt.published_samples < samples.size(); ++rt.published_samples) {
     rt.recovery_ms->record(samples[rt.published_samples]);
@@ -447,8 +388,7 @@ void ThreadCluster::crash_stop(NodeId node) {
   rt.alive.store(false, std::memory_order_release);
   // A crash-stop loses all volatile state; wake any of the node's blocked
   // client calls (they observe !alive and throw).
-  rt.halted_msgs.clear();
-  rt.parked_msgs.clear();
+  rt.manager->discard_backlog();
   shard.cv.notify_all();
 }
 
@@ -475,41 +415,44 @@ std::uint64_t ThreadCluster::stale_drops(NodeId node) {
   NodeRuntime& rt = runtime_of(node);
   HLOCK_REQUIRE(recovery_.enabled, "recovery is not enabled on this cluster");
   MutexLock guard(rt.shards[0]->mutex);
-  return rt.stale_drops;
+  return rt.manager->counters().stale_drops;
 }
 
-void ThreadCluster::apply(NodeRuntime& rt, Shard& shard, LockId lock,
-                          Effects&& effects) {
-  // One Lamport tick per automaton step; every event of the step shares it,
-  // every send ticks further (obs/lamport.hpp).
+void ThreadCluster::emit(NodeRuntime& rt,
+                         std::vector<trace::TraceEvent>& events,
+                         std::vector<proto::Message>& messages) {
+  // One Lamport tick per step; every event of the step shares it, every
+  // send ticks further (obs/lamport.hpp).
   const std::uint64_t step_time = rt.clock.tick();
   // Events are sunk before the step's messages go out so the sink's global
   // order respects causality (see set_event_sink). The sink slot is only
   // readable under event_mutex_ — checking it unguarded raced with
   // set_event_sink().
-  if (!effects.events.empty()) {
-    const auto elapsed = std::chrono::steady_clock::now() - started_;
-    const SimTime at = SimTime::ns(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-            .count());
+  if (!events.empty()) {
+    const SimTime at = wall_now();
     MutexLock sink_guard(event_mutex_);
     if (event_sink_) {
-      for (trace::TraceEvent& event : effects.events) {
+      for (trace::TraceEvent& event : events) {
         event.at = at;
         event.lamport = step_time;
         event_sink_(std::move(event));
       }
     }
   }
-  if (!effects.messages.empty()) {
-    for (proto::Message& message : effects.messages) {
+  if (!messages.empty()) {
+    for (proto::Message& message : messages) {
       message.lamport = rt.clock.tick();
     }
     // One transport call for the whole step: the transport coalesces
     // same-destination runs into batch frames (when batching is on) and
     // falls back to per-message sends otherwise.
-    transport_->send_batch(std::move(effects.messages));
+    transport_->send_batch(std::move(messages));
   }
+}
+
+void ThreadCluster::apply(NodeRuntime& rt, Shard& shard, LockId lock,
+                          Effects&& effects) {
+  emit(rt, effects.events, effects.messages);
   bool notify = false;
   if (effects.entered_cs) {
     shard.granted.insert(lock);

@@ -236,13 +236,9 @@ class ThreadCluster {
 
     /// False after crash_stop(); read by receiver, ticker and clients.
     std::atomic<bool> alive{true};
+    /// Gates every incoming message (it buffers the halted and parked
+    /// ones itself).
     std::unique_ptr<recovery::Manager> manager;
-    /// Protocol messages received while halted, replayed on unhalt.
-    std::vector<proto::Message> halted_msgs;
-    /// Messages from a newer recovery epoch than the local automaton's,
-    /// parked until the matching fence lands.
-    std::vector<proto::Message> parked_msgs;
-    std::uint64_t stale_drops = 0;
 
     /// Telemetry series (nullptr without a registry) and the cumulative
     /// values already published to them (manager counters only grow).
@@ -254,7 +250,6 @@ class ThreadCluster {
     telemetry::Histogram* recovery_ms = nullptr;
     recovery::RecoveryCounters published;
     std::size_t published_samples = 0;
-    std::uint64_t published_stale = 0;
   };
 
   void receiver_loop(NodeId node);
@@ -288,6 +283,11 @@ class ThreadCluster {
   /// Registers the transport-level callback series (message/byte totals,
   /// fault/retry counters, per-node mailbox depths) into metrics_.
   void register_transport_metrics(std::size_t node_count);
+  /// Sinks one step's events and transmits its messages, stamped with the
+  /// node's Lamport clock.
+  void emit(NodeRuntime& rt, std::vector<trace::TraceEvent>& events,
+            std::vector<proto::Message>& messages)
+      HLOCK_EXCLUDES(event_mutex_);
   /// Applies effects under the owning shard's mutex (sends after unlocking
   /// would also be correct; sends never block so holding it is safe and
   /// simpler).
@@ -299,13 +299,8 @@ class ThreadCluster {
   /// Drives every live node's failure detector roughly each heartbeat
   /// interval; exits when the destructor raises stopping_.
   void ticker_loop();
-  /// Receive-side protocol routing with recovery on: halt buffering,
-  /// newer-epoch parking, stale-drop counting, then normal delivery.
-  void deliver_protocol(NodeRuntime& rt, Shard& shard,
-                        const proto::Message& message)
-      HLOCK_REQUIRES(shard.mutex) HLOCK_EXCLUDES(event_mutex_);
-  /// Applies one Manager step: events, sends, fence effects, buffer
-  /// replay on unhalt, cv wake-ups and telemetry refresh.
+  /// Applies one Manager step: events, sends, automaton effects, cv
+  /// wake-ups on unhalt and telemetry refresh.
   void apply_outcome(NodeRuntime& rt, Shard& shard,
                      recovery::Outcome&& outcome)
       HLOCK_REQUIRES(shard.mutex) HLOCK_EXCLUDES(event_mutex_);

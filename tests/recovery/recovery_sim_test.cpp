@@ -176,9 +176,11 @@ TEST(RecoverySim, NaimiFreshLockFirstTouchedAfterRecoveryIsGranted) {
 }
 
 TEST(RecoverySim, StaleMessagesAreDroppedAndCounted) {
-  // Killing the holder of a contended lock leaves pre-crash traffic in
-  // flight; after the fence it must be dropped by the epoch gate, not
-  // processed.
+  // Despite its name, this checks only agreement: killing the holder of a
+  // contended lock right after its release leaves its token handoff in
+  // flight, and the survivors must still converge on one epoch and all
+  // unhalt. Its schedule leaves no old-epoch message to drop;
+  // {Hier,Naimi}ContendedCrashCountsStaleDrops below pin the drop counter.
   SimCluster cluster(recovery_options(Protocol::kHierarchical, 4));
   std::vector<Grant> grants;
   cluster.set_grant_handler([&](NodeId node, LockId lock, bool upgraded) {
@@ -201,6 +203,66 @@ TEST(RecoverySim, StaleMessagesAreDroppedAndCounted) {
     EXPECT_EQ(cluster.manager(NodeId{i}).current_epoch(), epoch);
     EXPECT_FALSE(cluster.manager(NodeId{i}).halted());
   }
+}
+
+/// Survivors 0, 2 and 3 contend for W on one lock (each takes it
+/// kContendedOps times, holding 20 ms and pausing 10 ms between ops) while
+/// node 1, which never touches the lock, is killed at 1 s. The campaign
+/// halts the survivors with their handoff traffic in flight; replayed
+/// after the fence, that traffic carries the old epoch and is dropped.
+void run_contended_crash(SimCluster& cluster,
+                         std::vector<trace::TraceEvent>& events) {
+  constexpr int kContendedOps = 6;
+  const LockId lock{5};
+  cluster.set_event_observer(
+      [&](trace::TraceEvent event) { events.push_back(std::move(event)); });
+  std::vector<int> done(cluster.node_count(), 0);
+  cluster.set_grant_handler([&](NodeId node, LockId, bool) {
+    cluster.simulator().schedule_in(SimTime::ms(20), [&, node] {
+      cluster.release(node, lock);
+      if (++done[node.value()] == kContendedOps) return;
+      cluster.simulator().schedule_in(SimTime::ms(10), [&, node] {
+        cluster.request(node, lock, LockMode::kW);
+      });
+    });
+  });
+  for (std::uint32_t i : {0u, 2u, 3u}) {
+    cluster.request(NodeId{i}, lock, LockMode::kW);
+  }
+  cluster.kill_at(NodeId{1}, SimTime::ms(1'000));
+  cluster.simulator().run_to_completion();
+  for (std::uint32_t i : {0u, 2u, 3u}) {
+    EXPECT_EQ(done[i], kContendedOps) << "node" << i << " did not finish";
+  }
+}
+
+void expect_contended_crash_drops_stale(Protocol protocol) {
+  SimCluster cluster(recovery_options(protocol, 4));
+  std::vector<trace::TraceEvent> events;
+  run_contended_crash(cluster, events);
+
+  EXPECT_GT(cluster.total_stale_drops(), 0u);
+  EXPECT_EQ(cluster.stale_drops(NodeId{1}), 0u);  // dead before any fence
+  const std::uint32_t epoch = cluster.manager(NodeId{0}).current_epoch();
+  EXPECT_GT(epoch, 0u);
+  for (std::uint32_t i : {0u, 2u, 3u}) {
+    EXPECT_EQ(cluster.manager(NodeId{i}).current_epoch(), epoch);
+    EXPECT_FALSE(cluster.manager(NodeId{i}).halted());
+  }
+  if (protocol == Protocol::kHierarchical) {
+    lint::LintOptions lint_options;
+    lint_options.initial_token = NodeId{0};
+    const lint::LintReport report = lint::check(events, lint_options);
+    EXPECT_TRUE(report.ok()) << report.render();
+  }
+}
+
+TEST(RecoverySim, HierContendedCrashCountsStaleDrops) {
+  expect_contended_crash_drops_stale(Protocol::kHierarchical);
+}
+
+TEST(RecoverySim, NaimiContendedCrashCountsStaleDrops) {
+  expect_contended_crash_drops_stale(Protocol::kNaimi);
 }
 
 TEST(RecoverySim, KillRequiresRecoveryEnabled) {

@@ -3,6 +3,11 @@
 // notices, a fenced epoch is minted and a blocked waiter on a survivor is
 // granted. Real threads and real time — the detector timings are kept
 // generous so loaded CI machines do not false-suspect live nodes.
+#include <atomic>
+#include <chrono>
+#include <memory>
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "runtime/thread_cluster.hpp"
@@ -89,6 +94,56 @@ TEST(RecoveryThread, RecoveryForcesSingleShard) {
   options.engine_shards = 0;
   ThreadCluster cluster(options);
   EXPECT_EQ(cluster.engine_shards(), 1u);
+}
+
+/// Regression twin of RecoverySim.*FreshLockFirstTouchedAfterRecovery*:
+/// after a recovery, a lock nobody has touched yet must still be grantable.
+/// An engine that reported epoch 0 for untouched locks made the default
+/// root park the first post-recovery request for such a lock forever.
+void expect_fresh_lock_granted_after_recovery(Protocol protocol) {
+  using Clock = std::chrono::steady_clock;
+  auto cluster = std::make_unique<ThreadCluster>(recovery_options(protocol));
+  cluster->lock(NodeId{1}, LockId{5}, LockMode::kW);
+  cluster->crash_stop(NodeId{1});
+
+  // Wait until both survivors completed the campaign.
+  const auto recovered_by = Clock::now() + std::chrono::seconds(30);
+  while (Clock::now() < recovered_by &&
+         (cluster->recovery_counters(NodeId{0}).recoveries == 0 ||
+          cluster->recovery_counters(NodeId{2}).recoveries == 0)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  ASSERT_GE(cluster->recovery_counters(NodeId{0}).recoveries, 1u);
+  ASSERT_GE(cluster->recovery_counters(NodeId{2}).recoveries, 1u);
+
+  // Node 2's request for a brand-new lock travels to the post-recovery
+  // default root, which has never touched the lock either.
+  const LockId fresh{99};
+  std::atomic<bool> granted{false};
+  std::thread client([&] {
+    cluster->lock(NodeId{2}, fresh, LockMode::kW);
+    granted.store(true);
+  });
+  const auto granted_by = Clock::now() + std::chrono::seconds(10);
+  while (!granted.load() && Clock::now() < granted_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(granted.load()) << "lock() on a fresh lock wedged";
+  if (granted.load()) {
+    EXPECT_TRUE(cluster->holds(NodeId{2}, fresh));
+    cluster->unlock(NodeId{2}, fresh);
+  } else {
+    cluster.reset();  // teardown wakes the blocked call
+  }
+  client.join();
+}
+
+TEST(RecoveryThread, HierFreshLockFirstTouchedAfterRecoveryIsGranted) {
+  expect_fresh_lock_granted_after_recovery(Protocol::kHierarchical);
+}
+
+TEST(RecoveryThread, NaimiFreshLockFirstTouchedAfterRecoveryIsGranted) {
+  expect_fresh_lock_granted_after_recovery(Protocol::kNaimi);
 }
 
 }  // namespace

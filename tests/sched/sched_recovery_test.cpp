@@ -44,6 +44,7 @@ class RaceHost : public recovery::Host {
     return {};
   }
   std::uint32_t recovery_epoch(LockId) override { return report_.epoch; }
+  core::Effects deliver(const Message&) override { return {}; }
   void set_default_origin(NodeId, std::uint32_t) override {}
 
   recovery::LockReport report_;
@@ -124,8 +125,8 @@ class RaceCluster {
       if (is_victim(to)) continue;  // crashed: the message is lost
       inbox_[to].push_back(std::move(message));
     }
-    // fence_effects are empty by construction (RaceHost returns none) and
-    // unhalt replay is the runtime's job; the router only moves messages.
+    // Automaton effects are empty by construction (RaceHost returns none)
+    // and only recovery traffic flows; the router only moves messages.
   }
 
   Mutex mu_{"sched_recovery.router"};
