@@ -380,13 +380,17 @@ void Manager::apply_fence(proto::LockId lock, const EpochFence& fence,
     out.effects.emplace_back(lock, std::move(fx));
   }
   max_epoch_seen_ = std::max(max_epoch_seen_, fence.epoch);
-  // Locks first touched after this recovery must root at a live node and
-  // start in the new epoch (the pre-crash default root may be dead).
-  host_->set_default_origin(coordinator(), fence.epoch);
 
   if (halted_ &&
       (fences_expected_ == 0 ||
        fences_received_.size() >= fences_expected_)) {
+    // Locks first touched after this recovery must root at a live node and
+    // start in the new epoch (the pre-crash default root may be dead). Set
+    // only once the fence set is complete: a lock this node never touched
+    // is created by its own fence, and creating it in the new epoch at an
+    // earlier fence of the campaign would turn its fence into a no-op and
+    // root it at the coordinator instead of its token holder.
+    host_->set_default_origin(coordinator(), fence.epoch);
     unhalt(now, out);
   }
 }

@@ -175,6 +175,54 @@ TEST(RecoverySim, NaimiFreshLockFirstTouchedAfterRecoveryIsGranted) {
   EXPECT_TRUE(cluster.engine(NodeId{2}).holds(fresh));
 }
 
+/// Node 1, every lock's initial root, holds locks 3 and 5 in W when node 2
+/// dies. Node 0 coordinates the campaign and has touched neither lock, so
+/// both fences create its automatons. Then node 0 asks for lock 5.
+void run_untouched_locks_fenced_at_coordinator(Protocol protocol) {
+  SimClusterOptions options = recovery_options(protocol, 4);
+  options.initial_root = NodeId{1};
+  SimCluster cluster(options);
+  std::vector<Grant> grants;
+  cluster.set_grant_handler([&](NodeId node, LockId lock, bool upgraded) {
+    grants.push_back({node, lock, upgraded});
+  });
+  const LockId first{3};
+  const LockId second{5};
+  cluster.request(NodeId{1}, first, LockMode::kW);
+  cluster.request(NodeId{1}, second, LockMode::kW);
+  cluster.kill_at(NodeId{2}, SimTime::ms(1'000));
+  cluster.simulator().run_until(SimTime::ms(5'000));
+  ASSERT_GT(cluster.manager(NodeId{0}).current_epoch(), 0u);
+  ASSERT_FALSE(cluster.manager(NodeId{0}).halted());
+  ASSERT_TRUE(cluster.engine(NodeId{1}).holds(second));
+
+  grants.clear();
+  cluster.request(NodeId{0}, second, LockMode::kW);
+  cluster.simulator().run_until(SimTime::ms(8'000));
+  // Node 1 still holds W: node 0 must wait, not mint itself a token.
+  EXPECT_TRUE(grants.empty());
+  EXPECT_FALSE(cluster.engine(NodeId{0}).holds(second));
+
+  cluster.release(NodeId{1}, second);
+  cluster.simulator().run_to_completion();
+  ASSERT_EQ(grants.size(), 1u);
+  EXPECT_EQ(grants[0].node, NodeId{0});
+  EXPECT_TRUE(cluster.engine(NodeId{0}).holds(second));
+}
+
+TEST(RecoverySim, HierUntouchedLocksFollowTheirFenceNotTheCoordinator) {
+  // Regression: each fence used to rebase the default origin at once, so
+  // a lock the node never touched, fenced after another lock of the same
+  // campaign, was created already in the fence epoch rooted at the
+  // coordinator. Its own fence was then a no-op, and the coordinator held
+  // a second token beside the surviving holder's.
+  run_untouched_locks_fenced_at_coordinator(Protocol::kHierarchical);
+}
+
+TEST(RecoverySim, NaimiUntouchedLocksFollowTheirFenceNotTheCoordinator) {
+  run_untouched_locks_fenced_at_coordinator(Protocol::kNaimi);
+}
+
 TEST(RecoverySim, StaleMessagesAreDroppedAndCounted) {
   // Despite its name, this checks only agreement: killing the holder of a
   // contended lock right after its release leaves its token handoff in
