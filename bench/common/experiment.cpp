@@ -86,7 +86,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // the failure; fall through and report the partial run.
   result.ops = driver.stats().ops;
   result.acquisitions = driver.stats().acquisitions;
-  result.messages = cluster.metrics().messages().total();
+  result.messages = cluster.metrics().messages().protocol_total();
   if (result.ops > 0) {
     result.msgs_per_op =
         static_cast<double>(result.messages) / static_cast<double>(result.ops);
@@ -127,6 +127,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       }
     }
     result.stale_drops = cluster.total_stale_drops();
+    result.recovery_messages =
+        cluster.metrics().messages().recovery_total();
     if (samples > 0) {
       result.mean_recovery_ms = sum_ms / static_cast<double>(samples);
     }
@@ -165,6 +167,7 @@ ExperimentResult run_averaged(ExperimentConfig config, int seeds) {
     total.recovery_epoch = std::max(total.recovery_epoch, one.recovery_epoch);
     total.recoveries += one.recoveries;
     total.stale_drops += one.stale_drops;
+    total.recovery_messages += one.recovery_messages;
     total.mean_recovery_ms += one.mean_recovery_ms;
     total.nodes_killed += one.nodes_killed;
     if (one.aborted) {

@@ -70,6 +70,9 @@ struct ExperimentConfig {
 struct ExperimentResult {
   std::uint64_t ops = 0;
   std::uint64_t acquisitions = 0;
+  /// Lock-protocol messages; recovery traffic is counted apart, in
+  /// recovery_messages, so heartbeats sent until the recovery horizon do
+  /// not inflate the paper's message metrics.
   std::uint64_t messages = 0;
   /// Messages per application operation.
   double msgs_per_op = 0;
@@ -97,11 +100,14 @@ struct ExperimentResult {
   /// With ExperimentConfig::recovery enabled: the highest fenced epoch any
   /// survivor reached, completed recoveries (max over survivors; summed
   /// across seeds by run_averaged), stale-epoch messages dropped cluster-
-  /// wide, mean suspicion-to-unhalt latency (ms) over all observed
-  /// recoveries, and how many nodes the kill schedule actually crashed.
+  /// wide, recovery messages sent, mean suspicion-to-unhalt latency (ms)
+  /// over all observed recoveries, and how many nodes the kill schedule
+  /// actually crashed.
   std::uint32_t recovery_epoch = 0;
   std::uint64_t recoveries = 0;
   std::uint64_t stale_drops = 0;
+  /// Recovery messages sent (heartbeats, suspicions, reports, fences).
+  std::uint64_t recovery_messages = 0;
   double mean_recovery_ms = 0;
   std::size_t nodes_killed = 0;
   /// True when the run died early (an invariant fired or the driver hit its

@@ -5,6 +5,8 @@
 // that assumption.
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
 #include "core/hier_automaton.hpp"
 #include "core/mode_tables.hpp"
 #include "naimi/naimi_automaton.hpp"
@@ -53,34 +55,38 @@ BENCHMARK(BM_HierSelfGrantCycle);
 void BM_HierGrantRoundTrip(benchmark::State& state) {
   // Request -> copy grant -> release -> release notification between a
   // token and one child, exercising the full message path of both sides.
+  // Steady state: both automatons are built once; each round trip leaves
+  // the child idle under the token, ready for the next.
+  HierAutomaton token{NodeId{0}, LockId{0}, true, NodeId::none()};
+  HierAutomaton child{NodeId{1}, LockId{0}, false, NodeId{0}};
+  benchmark::DoNotOptimize(token.request(LockMode::kR));
   for (auto _ : state) {
-    state.PauseTiming();
-    HierAutomaton token{NodeId{0}, LockId{0}, true, NodeId::none()};
-    HierAutomaton child{NodeId{1}, LockId{0}, false, NodeId{0}};
-    core::Effects token_fx = token.request(LockMode::kR);
-    state.ResumeTiming();
-
     core::Effects request = child.request(LockMode::kR);
     core::Effects grant = token.on_message(request.messages.at(0));
     core::Effects entered = child.on_message(grant.messages.at(0));
     core::Effects release = child.release();
     core::Effects done = token.on_message(release.messages.at(0));
+    benchmark::DoNotOptimize(entered);
     benchmark::DoNotOptimize(done);
   }
 }
 BENCHMARK(BM_HierGrantRoundTrip);
 
 void BM_NaimiTokenPass(benchmark::State& state) {
+  // One token pass per iteration, steady state: the requester's request
+  // reaches the idle holder, the token moves, the requester enters and
+  // leaves its critical section, and the two nodes swap roles.
+  naimi::NaimiAutomaton a{NodeId{0}, LockId{0}, true, NodeId::none()};
+  naimi::NaimiAutomaton b{NodeId{1}, LockId{0}, false, NodeId{0}};
+  naimi::NaimiAutomaton* holder = &a;
+  naimi::NaimiAutomaton* requester = &b;
   for (auto _ : state) {
-    state.PauseTiming();
-    naimi::NaimiAutomaton a{NodeId{0}, LockId{0}, true, NodeId::none()};
-    naimi::NaimiAutomaton b{NodeId{1}, LockId{0}, false, NodeId{0}};
-    state.ResumeTiming();
-
-    core::Effects request = b.request();
-    core::Effects pass = a.on_message(request.messages.at(0));
-    core::Effects entered = b.on_message(pass.messages.at(0));
+    core::Effects request = requester->request();
+    core::Effects pass = holder->on_message(request.messages.at(0));
+    core::Effects entered = requester->on_message(pass.messages.at(0));
     benchmark::DoNotOptimize(entered);
+    benchmark::DoNotOptimize(requester->release());
+    std::swap(holder, requester);
   }
 }
 BENCHMARK(BM_NaimiTokenPass);

@@ -386,9 +386,10 @@ class Explorer {
     }
   }
 
-  /// Applies one Manager step's outcome exactly as the runtimes do: send
-  /// its messages, then apply its automaton effects — fences, gated
-  /// deliveries, the unhalt replay — like protocol steps.
+  /// Applies one Manager step's outcome in runtime::NodeCore's order: its
+  /// own events and messages, then its automaton effects — fences, gated
+  /// deliveries, the unhalt replay — like protocol steps. No script step
+  /// runs while halted, so there are no held application calls to replay.
   void apply_outcome(State& state, std::size_t actor,
                      recovery::Outcome&& out,
                      std::vector<trace::TraceEvent>* events) const {

@@ -37,6 +37,8 @@ void write_metrics_section(std::ostringstream& os,
       os << "  " << to_string(kind) << ": " << count << '\n';
     }
   }
+  os << "recovery messages: " << metrics.messages().recovery_total()
+     << '\n';
   os << "completed requests: " << metrics.latency().count() << '\n';
   os << "messages/request: " << metrics.messages_per_request() << '\n';
   os << "latency (ms): " << to_string(metrics.latency().summarize()) << '\n';

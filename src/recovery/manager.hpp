@@ -2,19 +2,20 @@
 // epoch-fenced token regeneration and the receive-side stale-message gate
 // (docs/recovery.md).
 //
-// One Manager runs next to each node's protocol engine, in both runtimes
-// (SimCluster schedules its ticks as events, ThreadCluster drives it from a
-// ticker thread) and in the model checker. It is a pure state machine like
-// the automatons: every entry point returns an Outcome the runtime applies
-// — recovery messages to transmit, automaton effects to apply, trace
-// events to sink — which keeps the whole recovery protocol explorable by
-// the model checker. With recovery on, a runtime hands the Manager EVERY
-// incoming message; the gate that decides whether a protocol message
-// reaches the engine now, later or never is written only here.
+// One Manager runs next to each node's protocol engine: inside the node's
+// runtime::NodeCore in both runtimes (SimCluster schedules its ticks as
+// events, ThreadCluster drives it from a ticker thread), and in the model
+// checker. It is a pure state machine like the automatons: every entry
+// point returns an Outcome that NodeCore applies — recovery messages to
+// transmit, automaton effects to apply, trace events to sink — which keeps
+// the whole recovery protocol explorable by the model checker. With
+// recovery on, NodeCore hands the Manager EVERY incoming message; the gate
+// that decides whether a protocol message reaches the engine now, later or
+// never is written only here.
 //
 // The protocol, in one paragraph: a node that suspects a peer dead (local
 // heartbeat timeout, or gossip) HALTS protocol processing — the Manager
-// buffers incoming protocol messages and the runtime buffers application
+// buffers incoming protocol messages and NodeCore buffers application
 // operations while halted() — and sends one ElectToken report per lock to
 // the campaign's coordinator, the lowest live node id. The coordinator,
 // once it holds complete reports from every live node for the current dead
@@ -95,8 +96,8 @@ struct Outcome {
   /// runtime's event sink; kFence events travel inside `effects`.
   std::vector<trace::TraceEvent> events;
   /// The node just unhalted. The Manager already replayed its buffered
-  /// protocol messages (their effects are in `effects`); the runtime must
-  /// replay its buffered application operations now.
+  /// protocol messages (their effects are in `effects`); NodeCore replays
+  /// the buffered application operations after applying them.
   bool unhalted = false;
 };
 
@@ -112,8 +113,8 @@ class Manager {
 
   /// True while protocol processing is halted (suspicion raised, campaign
   /// fences not yet complete). The Manager buffers protocol messages
-  /// itself; the runtime must buffer application operations and replay
-  /// them on Outcome::unhalted.
+  /// itself; NodeCore buffers application operations and replays them, in
+  /// issue order, on Outcome::unhalted.
   bool halted() const { return halted_; }
 
   /// Nodes this manager believes crashed, ascending.

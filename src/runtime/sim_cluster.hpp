@@ -1,11 +1,12 @@
-// A simulated cluster: N protocol engines wired through the discrete-event
+// A simulated cluster: N node cores wired through the discrete-event
 // simulator and a latency model, with metrics collection.
 //
 // This is the harness every evaluation experiment runs on. Application-level
-// drivers (see workload/) issue request/release/upgrade calls; the cluster
-// applies the returned effects — scheduling message deliveries on the
-// simulator with sampled network latency, counting messages, and invoking
-// the registered grant handler when a node enters its critical section.
+// drivers (see workload/) issue request/release/upgrade calls; each node's
+// runtime::NodeCore runs the protocol step (runtime/node_core.hpp) and the
+// cluster does the I/O — scheduling message deliveries on the simulator with
+// sampled network latency, counting messages, and invoking the registered
+// grant handler when a node enters its critical section.
 #pragma once
 
 #include <cstdint>
@@ -15,9 +16,9 @@
 #include <vector>
 
 #include "core/hier_config.hpp"
-#include "obs/lamport.hpp"
 #include "recovery/manager.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/node_core.hpp"
 #include "sim/network_model.hpp"
 #include "sim/simulator.hpp"
 #include "stats/metrics.hpp"
@@ -118,7 +119,7 @@ class SimCluster {
   sim::Simulator& simulator() { return simulator_; }
   stats::MetricsRegistry& metrics() { return metrics_; }
   const stats::MetricsRegistry& metrics() const { return metrics_; }
-  std::size_t node_count() const { return engines_.size(); }
+  std::size_t node_count() const { return nodes_.size(); }
   const SimClusterOptions& options() const { return options_; }
   LockEngine& engine(NodeId node);
 
@@ -130,42 +131,31 @@ class SimCluster {
   /// The Raymond automaton of (node, lock); precondition: Raymond protocol.
   raymond::RaymondAutomaton& raymond_automaton(NodeId node, LockId lock);
 
-  /// `node`'s Lamport clock. The cluster runs one clock per node: ticked on
-  /// every automaton step and every send, merged on every delivery, stamped
-  /// onto trace events (TraceEvent::lamport) and messages
-  /// (Message::lamport) — see obs/lamport.hpp.
-  const obs::LamportClock& lamport(NodeId node) const {
-    return clocks_[node.value()];
-  }
-
  private:
-  /// One application operation buffered while its node was halted.
-  struct PendingOp {
-    enum class Kind : std::uint8_t { kRequest, kRelease, kUpgrade };
-    Kind kind = Kind::kRequest;
-    LockId lock{};
-    LockMode mode = LockMode::kNL;
-    std::uint8_t priority = 0;
+  /// One simulated node: its core and the port the core emits through.
+  struct Node final : NodePort {
+    Node(SimCluster& owner, NodeId id);
+    void sink(std::vector<trace::TraceEvent>& events) override;
+    void send(std::vector<proto::Message>& messages) override;
+    void grant(LockId lock, bool upgraded) override;
+    SimTime now() override { return cluster.simulator_.now(); }
+
+    SimCluster& cluster;
+    const NodeId self;
+    obs::AtomicLamportClock clock;
+    NodeCore core;
+    /// False once the node's scheduled crash has executed.
+    bool alive = true;
   };
 
-  bool recovery_on() const { return !managers_.empty(); }
-  /// False if `node` must not run `op` now: crashed (dropped) or halted
-  /// (buffered for the replay on unhalt).
-  bool admit(NodeId node, const PendingOp& op);
-  /// Sinks one step's events and transmits its messages, stamped with the
-  /// node's Lamport clock.
-  void emit(NodeId node, std::vector<trace::TraceEvent>& events,
-            std::vector<proto::Message>& messages);
-  void apply(NodeId node, LockId lock, Effects&& effects);
+  /// Validates `node`.
+  Node& node_at(NodeId node) const;
+  /// The node's core, or nullptr once the node has crashed (crashed nodes
+  /// ignore the application).
+  NodeCore* live_core(NodeId node);
   void transmit(const proto::Message& message);
-  /// Receive side: dead-node drop, Lamport merge, then the recovery
-  /// Manager's gate (recovery on) or straight engine delivery.
+  /// Receive side: dead-node drop, then the node's core.
   void deliver(const proto::Message& message);
-  /// Applies one Manager step: sinks its events, transmits its messages,
-  /// applies its automaton effects and, on unhalt, replays the buffered
-  /// application operations.
-  void apply_outcome(NodeId node, recovery::Outcome&& outcome);
-  void replay_ops(NodeId node);
   void crash(NodeId node);
   void schedule_recovery_tick();
 
@@ -174,14 +164,7 @@ class SimCluster {
   sim::NetworkModel network_;
   Rng loss_rng_;
   stats::MetricsRegistry metrics_;
-  std::vector<std::unique_ptr<LockEngine>> engines_;
-  std::vector<obs::LamportClock> clocks_;
-  /// Empty unless options_.recovery.enabled; one manager per node.
-  std::vector<std::unique_ptr<recovery::Manager>> managers_;
-  std::vector<char> alive_;
-  /// Application operations issued while halted, replayed on unhalt (the
-  /// Manager buffers the protocol messages).
-  std::vector<std::vector<PendingOp>> halted_ops_;
+  std::vector<std::unique_ptr<Node>> nodes_;
   GrantHandler grant_handler_;
   MessageObserver message_observer_;
   EventObserver event_observer_;

@@ -45,6 +45,13 @@ class StallBracket {
 
 }  // namespace
 
+ThreadCluster::Shard::Shard(ThreadCluster& owner,
+                            const ThreadClusterOptions& options, NodeId self,
+                            obs::AtomicLamportClock& clock)
+    : cluster(owner),
+      core(self, options.node_count, make_shard_engine(options, self),
+           options.recovery, clock, *this) {}
+
 ThreadCluster::ThreadCluster(const ThreadClusterOptions& options)
     : metrics_(options.metrics), watchdog_(options.watchdog),
       recovery_(options.recovery) {
@@ -95,7 +102,7 @@ ThreadCluster::ThreadCluster(const ThreadClusterOptions& options)
     }
     rt->shards.reserve(shard_count_);
     for (std::size_t s = 0; s < shard_count_; ++s) {
-      auto shard = std::make_unique<Shard>();
+      auto shard = std::make_unique<Shard>(*this, options, self, rt->clock);
       if (metrics_ != nullptr) {
         shard->queue_depth = &metrics_->gauge(telemetry::labeled(
             "hlock_engine_queue_depth",
@@ -103,16 +110,6 @@ ThreadCluster::ThreadCluster(const ThreadClusterOptions& options)
         shard->tokens_held = &metrics_->gauge(telemetry::labeled(
             "hlock_tokens_held",
             {{"node", std::to_string(i)}, {"shard", std::to_string(s)}}));
-      }
-      // No thread can see the node yet, but `engine` is lock-guarded state
-      // of a foreign object as far as the analysis is concerned — take the
-      // (uncontended, once-per-shard) lock rather than suppress.
-      MutexLock guard(shard->mutex);
-      shard->engine = make_shard_engine(options, self);
-      if (options.recovery.enabled && s == 0) {
-        rt->manager = std::make_unique<recovery::Manager>(
-            self, options.node_count, options.recovery,
-            shard->engine.get());
       }
       rt->shards.push_back(std::move(shard));
     }
@@ -277,14 +274,8 @@ bool ThreadCluster::dispatch_batch(NodeRuntime& rt, NodeId node,
       // An exception escaping a std::thread calls std::terminate, so
       // failures become a counted, logged error and the drain goes on.
       try {
-        rt.clock.observe(message.lamport);
-        if (recovery_.enabled) {
-          apply_outcome(rt, shard,
-                        rt.manager->on_message(message, wall_now()));
-        } else {
-          Effects effects = shard.engine->deliver(message);
-          apply(rt, shard, message.lock, std::move(effects));
-        }
+        shard.core.receive(message);
+        publish(rt, shard);
       } catch (const std::exception& error) {
         receiver_errors_.fetch_add(1, std::memory_order_relaxed);
         HLOCK_LOG(kError, "node " << node.value()
@@ -330,49 +321,33 @@ void ThreadCluster::ticker_loop() {
       if (!rt.alive.load(std::memory_order_acquire)) continue;
       Shard& shard = *rt.shards[0];
       MutexLock guard(shard.mutex);
-      apply_outcome(rt, shard, rt.manager->on_tick(wall_now()));
+      shard.core.tick();
+      publish(rt, shard);
     }
   }
 }
 
-void ThreadCluster::apply_outcome(NodeRuntime& rt, Shard& shard,
-                                  recovery::Outcome&& outcome) {
-  // The Manager's own events and messages form one Lamport step; a plain
-  // gated delivery has neither and is stamped by apply() alone.
-  if (!outcome.events.empty() || !outcome.messages.empty()) {
-    emit(rt, outcome.events, outcome.messages);
+void ThreadCluster::publish(NodeRuntime& rt, Shard& shard) {
+  // Value gauges refreshed under the shard mutex we already hold rather
+  // than snapshot callbacks, keeping the registry mutex out of the
+  // shard-lock order (see Shard).
+  if (shard.queue_depth != nullptr) {
+    shard.queue_depth->set(
+        static_cast<double>(shard.core.engine().queued_requests()));
+    shard.tokens_held->set(
+        static_cast<double>(shard.core.engine().tokens_held()));
   }
-  for (auto& [lock, effects] : outcome.effects) {
-    apply(rt, shard, lock, std::move(effects));
-  }
-  // The Manager replayed its buffered messages on unhalt; wake the client
-  // calls blocked in wait_unhalted().
-  if (outcome.unhalted) shard.cv.notify_all();
-  publish_recovery_metrics(rt);
-}
-
-void ThreadCluster::wait_unhalted(NodeRuntime& rt, Shard& shard) {
-  if (!recovery_.enabled) return;
-  ++shard.waiters;
-  while (!stopping_ && rt.alive.load(std::memory_order_acquire) &&
-         rt.manager->halted()) {
-    shard.cv.wait(shard.mutex);
-  }
-  --shard.waiters;
-  shard.cv.notify_all();  // a tearing-down destructor may drain waiters
-}
-
-void ThreadCluster::publish_recovery_metrics(NodeRuntime& rt) {
   if (rt.epoch_gauge == nullptr) return;
-  const recovery::RecoveryCounters& counters = rt.manager->counters();
-  rt.epoch_gauge->set(static_cast<double>(rt.manager->current_epoch()));
+  const recovery::Manager& manager = *shard.core.manager();
+  const recovery::RecoveryCounters& counters = manager.counters();
+  rt.epoch_gauge->set(static_cast<double>(manager.current_epoch()));
   rt.suspicions->inc(counters.suspicions - rt.published.suspicions);
   rt.fences->inc(counters.fences_installed - rt.published.fences_installed);
   rt.recoveries->inc(counters.recoveries - rt.published.recoveries);
   rt.stale_drops_metric->inc(counters.stale_drops -
                              rt.published.stale_drops);
   rt.published = counters;
-  const std::vector<double>& samples = rt.manager->recovery_durations_ms();
+  const std::vector<double>& samples = manager.recovery_durations_ms();
   for (; rt.published_samples < samples.size(); ++rt.published_samples) {
     rt.recovery_ms->record(samples[rt.published_samples]);
   }
@@ -387,8 +362,8 @@ void ThreadCluster::crash_stop(NodeId node) {
   MutexLock guard(shard.mutex);
   rt.alive.store(false, std::memory_order_release);
   // A crash-stop loses all volatile state; wake any of the node's blocked
-  // client calls (they observe !alive and throw).
-  rt.manager->discard_backlog();
+  // client calls (they observe !alive and return).
+  shard.core.crash();
   shard.cv.notify_all();
 }
 
@@ -398,79 +373,43 @@ bool ThreadCluster::alive(NodeId node) const {
 }
 
 std::uint32_t ThreadCluster::recovery_epoch_of(NodeId node) {
-  NodeRuntime& rt = runtime_of(node);
   HLOCK_REQUIRE(recovery_.enabled, "recovery is not enabled on this cluster");
-  MutexLock guard(rt.shards[0]->mutex);
-  return rt.manager->current_epoch();
+  Shard& shard = *runtime_of(node).shards[0];
+  MutexLock guard(shard.mutex);
+  return shard.core.manager()->current_epoch();
 }
 
 recovery::RecoveryCounters ThreadCluster::recovery_counters(NodeId node) {
-  NodeRuntime& rt = runtime_of(node);
   HLOCK_REQUIRE(recovery_.enabled, "recovery is not enabled on this cluster");
-  MutexLock guard(rt.shards[0]->mutex);
-  return rt.manager->counters();
+  Shard& shard = *runtime_of(node).shards[0];
+  MutexLock guard(shard.mutex);
+  return shard.core.manager()->counters();
 }
 
 std::uint64_t ThreadCluster::stale_drops(NodeId node) {
-  NodeRuntime& rt = runtime_of(node);
-  HLOCK_REQUIRE(recovery_.enabled, "recovery is not enabled on this cluster");
-  MutexLock guard(rt.shards[0]->mutex);
-  return rt.manager->counters().stale_drops;
+  return recovery_counters(node).stale_drops;
 }
 
-void ThreadCluster::emit(NodeRuntime& rt,
-                         std::vector<trace::TraceEvent>& events,
-                         std::vector<proto::Message>& messages) {
-  // One Lamport tick per step; every event of the step shares it, every
-  // send ticks further (obs/lamport.hpp).
-  const std::uint64_t step_time = rt.clock.tick();
-  // Events are sunk before the step's messages go out so the sink's global
-  // order respects causality (see set_event_sink). The sink slot is only
-  // readable under event_mutex_ — checking it unguarded raced with
-  // set_event_sink().
-  if (!events.empty()) {
-    const SimTime at = wall_now();
-    MutexLock sink_guard(event_mutex_);
-    if (event_sink_) {
-      for (trace::TraceEvent& event : events) {
-        event.at = at;
-        event.lamport = step_time;
-        event_sink_(std::move(event));
-      }
-    }
-  }
-  if (!messages.empty()) {
-    for (proto::Message& message : messages) {
-      message.lamport = rt.clock.tick();
-    }
-    // One transport call for the whole step: the transport coalesces
-    // same-destination runs into batch frames (when batching is on) and
-    // falls back to per-message sends otherwise.
-    transport_->send_batch(std::move(messages));
+void ThreadCluster::Shard::sink(std::vector<trace::TraceEvent>& events) {
+  // The sink slot is only readable under event_mutex_ — checking it
+  // unguarded raced with set_event_sink().
+  MutexLock sink_guard(cluster.event_mutex_);
+  if (!cluster.event_sink_) return;
+  for (trace::TraceEvent& event : events) {
+    cluster.event_sink_(std::move(event));
   }
 }
 
-void ThreadCluster::apply(NodeRuntime& rt, Shard& shard, LockId lock,
-                          Effects&& effects) {
-  emit(rt, effects.events, effects.messages);
-  bool notify = false;
-  if (effects.entered_cs) {
-    shard.granted.insert(lock);
-    notify = true;
-  }
-  if (effects.upgraded) {
-    shard.upgraded.insert(lock);
-    notify = true;
-  }
-  if (notify) shard.cv.notify_all();
-  // Refresh the shard's depth gauges after every step, under the shard
-  // mutex we already hold — value gauges rather than snapshot callbacks to
-  // keep the registry mutex out of the shard-lock order (see Shard).
-  if (shard.queue_depth != nullptr) {
-    shard.queue_depth->set(
-        static_cast<double>(shard.engine->queued_requests()));
-    shard.tokens_held->set(static_cast<double>(shard.engine->tokens_held()));
-  }
+void ThreadCluster::Shard::send(std::vector<proto::Message>& messages) {
+  // One transport call for the whole step: the transport coalesces
+  // same-destination runs into batch frames (when batching is on) and
+  // falls back to per-message sends otherwise.
+  cluster.transport_->send_batch(std::move(messages));
+}
+
+void ThreadCluster::Shard::grant(LockId lock, bool upgrade) {
+  (upgrade ? upgraded : granted).insert(lock);
+  cv.notify_all();
 }
 
 template <typename Label, typename Step>
@@ -491,15 +430,14 @@ void ThreadCluster::run_blocking(NodeId node, LockId lock, const Label& label,
     MutexLock guard(shard.mutex);
     HLOCK_REQUIRE(rt.alive.load(std::memory_order_acquire),
                   "node has crash-stopped");
-    // Halted nodes (suspicion raised, fences pending) block application
-    // progress until recovery completes; a crash or teardown while waiting
-    // returns spuriously, same as the destructor contract.
-    wait_unhalted(rt, shard);
-    if (stopping_ || !rt.alive.load(std::memory_order_acquire)) {
+    if (stopping_) {
       waiting.end();  // under the mutex: teardown may free the transport
       return;
     }
-    apply(rt, shard, lock, step(*shard.engine));
+    // A halted node's core buffers the step until the unhalt; the wait
+    // below then simply lasts through the recovery.
+    step(shard.core);
+    publish(rt, shard);
     // From here the destructor waits for this call, across the split too.
     ++shard.waiters;
     // Nothing claimed (local grant, TCP): one critical section, as before.
@@ -538,7 +476,7 @@ void ThreadCluster::lock(NodeId node, LockId lock, LockMode mode,
                " mode=" + proto::to_string(mode);
       },
       &Shard::granted,
-      [&](LockEngine& engine) { return engine.request(lock, mode, priority); });
+      [&](NodeCore& core) { core.request(lock, mode, priority); });
 }
 
 void ThreadCluster::unlock(NodeId node, LockId lock) {
@@ -549,10 +487,9 @@ void ThreadCluster::unlock(NodeId node, LockId lock) {
     MutexLock guard(shard.mutex);
     HLOCK_REQUIRE(rt.alive.load(std::memory_order_acquire),
                   "node has crash-stopped");
-    wait_unhalted(rt, shard);
-    if (stopping_ || !rt.alive.load(std::memory_order_acquire)) return;
-    Effects effects = shard.engine->release(lock);
-    apply(rt, shard, lock, std::move(effects));
+    if (stopping_) return;
+    shard.core.release(lock);
+    publish(rt, shard);
   }
   // A grant or token handed to a waiting node is delivered right here.
   drain_inline(inline_scope);
@@ -566,14 +503,14 @@ void ThreadCluster::upgrade(NodeId node, LockId lock) {
                " lock=" + std::to_string(lock.value()) + " upgrade";
       },
       &Shard::upgraded,
-      [&](LockEngine& engine) { return engine.upgrade(lock); });
+      [&](NodeCore& core) { core.upgrade(lock); });
 }
 
 bool ThreadCluster::holds(NodeId node, LockId lock) {
   NodeRuntime& rt = runtime_of(node);
   Shard& shard = shard_of(rt, lock);
   MutexLock guard(shard.mutex);
-  return shard.engine->holds(lock);
+  return shard.core.engine().holds(lock);
 }
 
 }  // namespace hlock::runtime

@@ -1,15 +1,15 @@
 // A cluster of protocol nodes on real threads with a blocking client API.
 //
 // Each node owns a receiver thread that drains its transport mailbox and
-// feeds the protocol engine; application threads call lock()/unlock()/
+// feeds the node's protocol core; application threads call lock()/unlock()/
 // upgrade() and block until the grant arrives. Per-node protocol state is
-// sharded by lock id: each shard owns its own LockEngine (and therefore its
-// own lazily-created per-lock automaton map) behind its own mutex, so
-// operations on different locks — the airline workload's table lock vs its
-// entry locks — proceed concurrently instead of serializing on one node
-// mutex. Within a shard the automatons' single-threaded contract holds
-// exactly as before, and a given lock maps to the same shard index on every
-// node, so a lock's entire causal chain stays on one shard per node.
+// sharded by lock id: each shard owns its own runtime::NodeCore (and
+// therefore its own lazily-created per-lock automaton map) behind its own
+// mutex, so operations on different locks — the airline workload's table
+// lock vs its entry locks — proceed concurrently instead of serializing on
+// one node mutex. Within a shard the automatons' single-threaded contract
+// holds exactly as before, and a given lock maps to the same shard index on
+// every node, so a lock's entire causal chain stays on one shard per node.
 //
 // The receiver drains every matured message in one transport call
 // (recv_ready) and dispatches consecutive same-shard runs under a single
@@ -37,6 +37,7 @@
 #include "obs/lamport.hpp"
 #include "recovery/manager.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/node_core.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/watchdog.hpp"
 #include "trace/event.hpp"
@@ -124,7 +125,8 @@ class ThreadCluster {
   void lock(NodeId node, LockId lock, LockMode mode,
             std::uint8_t priority = 0);
 
-  /// Releases `lock` held by `node`.
+  /// Releases `lock` held by `node`. While the node is halted by a
+  /// recovery, returns at once with the release buffered until the unhalt.
   void unlock(NodeId node, LockId lock);
 
   /// Upgrades `node`'s U hold on `lock` to W; blocks until complete
@@ -189,14 +191,27 @@ class ThreadCluster {
   std::uint64_t stale_drops(NodeId node);
 
  private:
-  /// One lock-id shard of a node: its own engine (and per-lock automaton
-  /// map), grant bookkeeping and mutex, preserving the automatons'
-  /// single-threaded contract per shard while shards run concurrently.
-  struct Shard {
+  /// One lock-id shard of a node: its own NodeCore (engine, per-lock
+  /// automaton map and, with recovery, the node's Manager), grant
+  /// bookkeeping and mutex, preserving the automatons' single-threaded
+  /// contract per shard while shards run concurrently. It is its core's
+  /// port: sinks events under event_mutex_, ships each step's messages in
+  /// one send_batch, and records grants for the blocked client calls.
+  struct Shard final : NodePort {
+    Shard(ThreadCluster& owner, const ThreadClusterOptions& options,
+          NodeId self, obs::AtomicLamportClock& clock);
+    void sink(std::vector<trace::TraceEvent>& events) override;
+    void send(std::vector<proto::Message>& messages) override;
+    /// Runs under `mutex` — the core runs only there — which the analysis
+    /// cannot see through the virtual call.
+    void grant(LockId lock, bool upgrade) override
+        HLOCK_NO_THREAD_SAFETY_ANALYSIS;
+    SimTime now() override { return cluster.wall_now(); }
+
+    ThreadCluster& cluster;
     Mutex mutex;
     CondVar cv;
-    std::unique_ptr<LockEngine> engine HLOCK_GUARDED_BY(mutex)
-        HLOCK_PT_GUARDED_BY(mutex);
+    NodeCore core HLOCK_GUARDED_BY(mutex);
     /// Locks whose grant / upgrade-completion arrived but has not been
     /// consumed by the blocked client call yet.
     std::unordered_set<LockId> granted HLOCK_GUARDED_BY(mutex);
@@ -206,7 +221,7 @@ class ThreadCluster {
     /// call never touches freed node state.
     int waiters HLOCK_GUARDED_BY(mutex) = 0;
     /// Telemetry gauges (nullptr without a registry), refreshed after every
-    /// engine step under this shard's mutex. Value gauges, not callbacks:
+    /// core step under this shard's mutex. Value gauges, not callbacks:
     /// a snapshot-time callback would acquire shard mutexes under the
     /// registry mutex, the reverse of the engine's lazy-registration order
     /// (InstrumentedEngine::token_gauge) — a lock-order cycle.
@@ -215,9 +230,8 @@ class ThreadCluster {
   };
 
   struct NodeRuntime {
-    /// The node's Lamport clock: ticked per step/send, merged per delivery,
-    /// stamped onto every event and message (obs/lamport.hpp). Shared by
-    /// every shard of the node, hence the lock-free variant.
+    /// The node's Lamport clock, shared by every shard's core, hence the
+    /// lock-free variant (obs/lamport.hpp).
     obs::AtomicLamportClock clock;
     std::vector<std::unique_ptr<Shard>> shards;
     /// sched::Thread (not std::thread) so the schedule explorer can
@@ -230,18 +244,16 @@ class ThreadCluster {
     telemetry::Histogram* recv_batch = nullptr;
     telemetry::Counter* inline_batches = nullptr;
 
-    // ---- Crash recovery (null/unused unless the option is enabled).
-    //      All mutable recovery state below is guarded by the node's
-    //      single shard mutex (recovery forces engine_shards == 1). ----
-
     /// False after crash_stop(); read by receiver, ticker and clients.
     std::atomic<bool> alive{true};
-    /// Gates every incoming message (it buffers the halted and parked
-    /// ones itself).
-    std::unique_ptr<recovery::Manager> manager;
 
-    /// Telemetry series (nullptr without a registry) and the cumulative
-    /// values already published to them (manager counters only grow).
+    // ---- Crash recovery telemetry (null/unused unless recovery and a
+    //      registry are on). Guarded by the node's single shard mutex
+    //      (recovery forces engine_shards == 1), whose core owns the
+    //      node's recovery::Manager. ----
+
+    /// Telemetry series and the cumulative values already published to
+    /// them (manager counters only grow).
     telemetry::Gauge* epoch_gauge = nullptr;
     telemetry::Counter* suspicions = nullptr;
     telemetry::Counter* fences = nullptr;
@@ -254,20 +266,20 @@ class ThreadCluster {
 
   void receiver_loop(NodeId node);
   /// Dispatches one batch of `node`'s messages — from its receiver or an
-  /// inline drain — in same-shard runs: crash-stop check, recovery gate,
-  /// engine delivery, errors counted into receiver_errors_. Returns false
-  /// once the node has crash-stopped (the rest is discarded unread).
-  /// Requires no shard mutex held.
+  /// inline drain — in same-shard runs: crash-stop check, core receive,
+  /// errors counted into receiver_errors_. Returns false once the node has
+  /// crash-stopped (the rest is discarded unread). Requires no shard mutex
+  /// held.
   bool dispatch_batch(NodeRuntime& rt, NodeId node,
                       std::vector<proto::Message>& batch)
       HLOCK_EXCLUDES(event_mutex_);
   /// Drains the mailboxes `scope` claimed through dispatch_batch. Call
   /// holding no shard mutex.
   void drain_inline(transport::InProcTransport::InlineScope& scope);
-  /// Shared body of lock()/upgrade(): watchdog bracket, the engine `step`
-  /// (LockEngine& -> Effects) applied under the shard mutex, an inline
-  /// drain outside it when the step claimed a mailbox, then the wait for
-  /// `lock` to land in `shard.*done`.
+  /// Shared body of lock()/upgrade(): watchdog bracket, the core `step`
+  /// (NodeCore&) run under the shard mutex, an inline drain outside it
+  /// when the step claimed a mailbox, then the wait for `lock` to land in
+  /// `shard.*done`.
   template <typename Label, typename Step>
   void run_blocking(NodeId node, LockId lock, const Label& label,
                     std::unordered_set<LockId> Shard::*done,
@@ -283,32 +295,15 @@ class ThreadCluster {
   /// Registers the transport-level callback series (message/byte totals,
   /// fault/retry counters, per-node mailbox depths) into metrics_.
   void register_transport_metrics(std::size_t node_count);
-  /// Sinks one step's events and transmits its messages, stamped with the
-  /// node's Lamport clock.
-  void emit(NodeRuntime& rt, std::vector<trace::TraceEvent>& events,
-            std::vector<proto::Message>& messages)
-      HLOCK_EXCLUDES(event_mutex_);
-  /// Applies effects under the owning shard's mutex (sends after unlocking
-  /// would also be correct; sends never block so holding it is safe and
-  /// simpler).
-  void apply(NodeRuntime& rt, Shard& shard, LockId lock, Effects&& effects)
-      HLOCK_REQUIRES(shard.mutex) HLOCK_EXCLUDES(event_mutex_);
   /// Wall-clock time since cluster start as a SimTime (the recovery
   /// manager's clock domain in this runtime).
   SimTime wall_now() const;
   /// Drives every live node's failure detector roughly each heartbeat
   /// interval; exits when the destructor raises stopping_.
   void ticker_loop();
-  /// Applies one Manager step: events, sends, automaton effects, cv
-  /// wake-ups on unhalt and telemetry refresh.
-  void apply_outcome(NodeRuntime& rt, Shard& shard,
-                     recovery::Outcome&& outcome)
-      HLOCK_REQUIRES(shard.mutex) HLOCK_EXCLUDES(event_mutex_);
-  /// Blocks while the node is halted (no-op with recovery off).
-  void wait_unhalted(NodeRuntime& rt, Shard& shard)
-      HLOCK_REQUIRES(shard.mutex);
-  void publish_recovery_metrics(NodeRuntime& rt)
-      HLOCK_NO_THREAD_SAFETY_ANALYSIS;
+  /// Refreshes the telemetry a core step may move: the shard's depth
+  /// gauges and, with recovery on, the node's recovery series.
+  void publish(NodeRuntime& rt, Shard& shard) HLOCK_REQUIRES(shard.mutex);
   NodeRuntime& runtime_of(NodeId node);
   Shard& shard_of(NodeRuntime& rt, LockId lock) {
     return *rt.shards[lock.value() % shard_count_];

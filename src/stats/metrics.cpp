@@ -46,13 +46,21 @@ std::uint64_t MessageCounter::total() const {
   return sum;
 }
 
+std::uint64_t MessageCounter::recovery_total() const {
+  std::uint64_t sum = 0;
+  for_each([&sum](proto::MessageKind kind, std::uint64_t count) {
+    if (proto::is_recovery_kind(kind)) sum += count;
+  });
+  return sum;
+}
+
 void LatencyRecorder::record(SimTime latency) {
   samples_ms_.push_back(latency.to_ms());
 }
 
 double MetricsRegistry::messages_per_request() const {
   if (latency_.count() == 0) return 0.0;
-  return static_cast<double>(messages_.total()) /
+  return static_cast<double>(messages_.protocol_total()) /
          static_cast<double>(latency_.count());
 }
 

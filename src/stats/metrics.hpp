@@ -117,6 +117,13 @@ class MessageCounter {
   /// All messages. Thread-safe snapshot read.
   std::uint64_t total() const;
 
+  /// Crash-recovery messages (heartbeats, suspicions, reports, fences;
+  /// proto::is_recovery_kind). Thread-safe snapshot read.
+  std::uint64_t recovery_total() const;
+
+  /// Lock-protocol messages: total() without recovery_total().
+  std::uint64_t protocol_total() const { return total() - recovery_total(); }
+
   /// Calls `fn(kind, count)` for every message kind, in enum order.
   template <typename Fn>
   void for_each(Fn&& fn) const {
@@ -158,8 +165,10 @@ class MetricsRegistry {
   LatencyRecorder& latency() { return latency_; }
   const LatencyRecorder& latency() const { return latency_; }
 
-  /// Messages per completed application-level request — the paper's
-  /// Fig. 7/9 metric. Zero when no request completed.
+  /// Lock-protocol messages per completed application-level request — the
+  /// paper's Fig. 7/9 metric. Recovery traffic is left out: heartbeats run
+  /// until the recovery horizon, long after the workload ends. Zero when
+  /// no request completed.
   double messages_per_request() const;
 
  private:

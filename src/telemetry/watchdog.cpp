@@ -36,12 +36,23 @@ std::uint64_t StallWatchdog::begin(std::string label) {
 
 void StallWatchdog::end(std::uint64_t key) {
   const auto now = std::chrono::steady_clock::now();
+  // The threshold in force before this wait is recorded: a long wait
+  // raises the p99, and with it the threshold it would be judged against.
+  const double threshold = threshold_ms();
   MutexLock lock(mutex_);
   const auto it = pending_.find(key);
   if (it == pending_.end()) {
     return;
   }
-  wait_ms_.record(ms_between(it->second.since, now));
+  const double waited = ms_between(it->second.since, now);
+  if (!it->second.flagged && waited >= threshold) {
+    // A stall that ended between sweeps still counts; the next sweep runs
+    // its hook, so the hook never runs on a client thread.
+    stalled_.inc();
+    ended_stalls_.push_back({std::move(it->second.label), waited, threshold,
+                             wait_ms_.quantile(0.99), pending_.size()});
+  }
+  wait_ms_.record(waited);
   pending_.erase(it);
   pending_gauge_.set(static_cast<double>(pending_.size()));
 }
@@ -65,6 +76,7 @@ std::size_t StallWatchdog::check_now() {
   std::vector<StallReport> reports;
   {
     MutexLock lock(mutex_);
+    reports.swap(ended_stalls_);  // already counted by end()
     for (auto& [key, p] : pending_) {
       if (now < p.arm_at || now - p.since < threshold_dur) {
         continue;
@@ -76,19 +88,20 @@ std::size_t StallWatchdog::check_now() {
       report.p99_ms = wait_ms_.quantile(0.99);
       report.pending = pending_.size();
       reports.push_back(std::move(report));
+      stalled_.inc();
       p.flagged = true;
       // Re-arm far enough out that a wedged request re-reports, while a
       // merely slow one finishes quietly in between.
       p.arm_at = now + 2 * threshold_dur;
     }
   }
-  for (const StallReport& report : reports) {
-    stalled_.inc();
-    if (on_stall_) {
-      on_stall_(report);
-    }
-  }
+  run_hook(reports);
   return reports.size();
+}
+
+void StallWatchdog::run_hook(const std::vector<StallReport>& reports) const {
+  if (!on_stall_) return;
+  for (const StallReport& report : reports) on_stall_(report);
 }
 
 void StallWatchdog::start() {
@@ -113,8 +126,13 @@ void StallWatchdog::stop() {
     wake_cv_.notify_all();
   }
   thread_.join();
-  MutexLock lock(mutex_);
-  running_ = false;
+  std::vector<StallReport> ended;
+  {
+    MutexLock lock(mutex_);
+    running_ = false;
+    ended.swap(ended_stalls_);
+  }
+  run_hook(ended);  // the sweeper is gone: its last reports run here
 }
 
 void StallWatchdog::run() {

@@ -14,7 +14,9 @@
 // `hlock_stalled_requests_total` counter and invokes the on_stall hook
 // exactly once per request (re-arming only if the request is still
 // pending on a later sweep after 2× the threshold, so a genuinely wedged
-// request keeps making noise but a slow one doesn't spam). The sim wires
+// request keeps making noise but a slow one doesn't spam). A stall that
+// ends between sweeps is counted by end(), against the threshold in force
+// before its wait is recorded; the next sweep runs its hook. The sim wires
 // on_stall to dump_flight_record + a metrics snapshot for post-mortem.
 //
 // The p99 floor exists because early in a run the histogram is empty or
@@ -27,6 +29,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "telemetry/registry.hpp"
 #include "util/sync.hpp"
@@ -61,8 +64,9 @@ class StallWatchdog {
   StallWatchdog(const StallWatchdog&) = delete;
   StallWatchdog& operator=(const StallWatchdog&) = delete;
 
-  /// Invoked (outside the watchdog mutex, on the sweeping thread) for each
-  /// newly flagged stall. Set before start().
+  /// Invoked (outside the watchdog mutex, on the sweeping thread, i.e. in
+  /// check_now() or stop()) for each newly flagged stall. Set before
+  /// start().
   void set_on_stall(std::function<void(const StallReport&)> hook);
 
   /// A request started blocking; returns the key for the matching end().
@@ -70,14 +74,17 @@ class StallWatchdog {
   std::uint64_t begin(std::string label) HLOCK_EXCLUDES(mutex_);
 
   /// The request stopped waiting (granted or failed). Records the wait in
-  /// the histogram. Unknown keys are ignored (idempotent).
+  /// the histogram, counting it as a stall if no sweep did. Unknown keys
+  /// are ignored (idempotent).
   void end(std::uint64_t key) HLOCK_EXCLUDES(mutex_);
 
-  /// Sweeps pending requests once; returns how many were newly flagged.
+  /// Sweeps pending requests once; returns how many stalls it reported,
+  /// those end() counted since the last sweep included.
   std::size_t check_now() HLOCK_EXCLUDES(mutex_);
 
-  /// Launches the periodic sweep thread / stops it. start() is a no-op
-  /// when running; the destructor stops.
+  /// Launches the periodic sweep thread / stops it (reporting what end()
+  /// counted since the last sweep). start() is a no-op when running; the
+  /// destructor stops.
   void start();
   void stop();
 
@@ -96,6 +103,7 @@ class StallWatchdog {
   };
 
   void run();
+  void run_hook(const std::vector<StallReport>& reports) const;
 
   const WatchdogOptions options_;
   Counter& stalled_;
@@ -109,6 +117,8 @@ class StallWatchdog {
   bool running_ HLOCK_GUARDED_BY(mutex_) = false;
   std::uint64_t next_key_ HLOCK_GUARDED_BY(mutex_) = 1;
   std::map<std::uint64_t, Pending> pending_ HLOCK_GUARDED_BY(mutex_);
+  /// Stalls end() counted, for the next sweep's hook.
+  std::vector<StallReport> ended_stalls_ HLOCK_GUARDED_BY(mutex_);
 
   sched::Thread thread_;
 };

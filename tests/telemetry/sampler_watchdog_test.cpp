@@ -107,7 +107,12 @@ WatchdogOptions fast_watchdog() {
 
 TEST(StallWatchdog, EndRecordsTheWaitAndClearsPending) {
   Registry registry;
-  StallWatchdog watchdog{registry, fast_watchdog()};
+  // A wait past the floor counts as a stall even when it ends between
+  // sweeps; the floor sits far above the 2 ms sleep so a loaded machine
+  // cannot turn this bookkeeping check into a stall.
+  WatchdogOptions options = fast_watchdog();
+  options.floor = milliseconds(1000);
+  StallWatchdog watchdog{registry, options};
   const std::uint64_t key = watchdog.begin("node=0 lock=0 mode=W");
   EXPECT_EQ(registry.snapshot().find("hlock_pending_requests")->value, 1.0);
   std::this_thread::sleep_for(milliseconds(2));
@@ -179,6 +184,71 @@ TEST(StallWatchdog, FinishedRequestsAreNeverFlagged) {
   std::this_thread::sleep_for(milliseconds(20));
   EXPECT_EQ(watchdog.check_now(), 0u);
   EXPECT_EQ(watchdog.stalled_total(), 0u);
+}
+
+WatchdogOptions one_ms_floor() {
+  WatchdogOptions options;
+  options.floor = milliseconds(1);
+  options.check_interval = milliseconds(60000);  // sweeps only on demand
+  return options;
+}
+
+TEST(StallWatchdog, StallEndingBetweenSweepsIsCountedAndReportedOnTheSweep) {
+  Registry registry;
+  StallWatchdog watchdog{registry, one_ms_floor()};
+  std::vector<StallReport> reports;
+  watchdog.set_on_stall(
+      [&reports](const StallReport& report) { reports.push_back(report); });
+
+  const std::uint64_t key = watchdog.begin("node=0 lock=0 mode=W");
+  std::this_thread::sleep_for(milliseconds(20));
+  watchdog.end(key);
+  // Counted at once, against the floor in force before the 20 ms wait
+  // raised the p99; the hook waits for the sweeping thread.
+  EXPECT_EQ(watchdog.stalled_total(), 1u);
+  EXPECT_TRUE(reports.empty());
+  EXPECT_EQ(registry.snapshot().find("hlock_stalled_requests_total")->value,
+            1.0);
+
+  EXPECT_EQ(watchdog.check_now(), 1u);
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].label, "node=0 lock=0 mode=W");
+  EXPECT_GE(reports[0].waited_ms, 20.0);
+  EXPECT_DOUBLE_EQ(reports[0].threshold_ms, 1.0);
+  EXPECT_EQ(watchdog.check_now(), 0u);
+  EXPECT_EQ(watchdog.stalled_total(), 1u);
+}
+
+TEST(StallWatchdog, WaitFlaggedBySweepIsNotCountedAgainAtEnd) {
+  Registry registry;
+  StallWatchdog watchdog{registry, one_ms_floor()};
+  int hook_calls = 0;
+  watchdog.set_on_stall([&hook_calls](const StallReport&) { ++hook_calls; });
+
+  const std::uint64_t key = watchdog.begin("node=1 lock=0 mode=W");
+  std::this_thread::sleep_for(milliseconds(20));
+  EXPECT_EQ(watchdog.check_now(), 1u);
+  watchdog.end(key);
+  EXPECT_EQ(watchdog.check_now(), 0u);
+  EXPECT_EQ(watchdog.stalled_total(), 1u);
+  EXPECT_EQ(hook_calls, 1);
+}
+
+TEST(StallWatchdog, StopReportsStallsThatEndedSinceTheLastSweep) {
+  Registry registry;
+  StallWatchdog watchdog{registry, one_ms_floor()};
+  std::vector<std::string> labels;
+  watchdog.set_on_stall(
+      [&labels](const StallReport& report) { labels.push_back(report.label); });
+  watchdog.start();  // its first sweep is a minute away
+
+  const std::uint64_t key = watchdog.begin("node=2 lock=0 mode=W");
+  std::this_thread::sleep_for(milliseconds(20));
+  watchdog.end(key);
+  EXPECT_EQ(watchdog.stalled_total(), 1u);
+  watchdog.stop();
+  ASSERT_EQ(labels.size(), 1u);
+  EXPECT_EQ(labels[0], "node=2 lock=0 mode=W");
 }
 
 TEST(StallWatchdog, BackgroundSweepFiresWithoutManualChecks) {

@@ -2,6 +2,8 @@
 // relationships, observer integration and upgrade timing.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "runtime/sim_cluster.hpp"
 #include "trace/recorder.hpp"
 #include "workload/sim_driver.hpp"
@@ -129,6 +131,29 @@ TEST(DriverDetail, EntryLocalityReducesEntryLockTraffic) {
            static_cast<double>(driver.stats().acquisitions);
   };
   EXPECT_LT(run(1.0), run(0.0) * 0.8);
+}
+
+TEST(DriverDetail, RecoveryTrafficStaysOutOfMessagesPerRequest) {
+  // Heartbeats run until the recovery horizon, long after the workload
+  // ends; the paper's messages-per-request metric must not see them.
+  auto run = [](SimTime horizon) {
+    SimClusterOptions options = small_cluster(8, 7);
+    options.recovery.enabled = true;
+    options.recovery_horizon = horizon;
+    SimCluster cluster{options};
+    SimWorkloadDriver driver{cluster, small_spec(8, 40, 7)};
+    driver.run();
+    const stats::MessageCounter& messages = cluster.metrics().messages();
+    EXPECT_EQ(messages.total(),
+              messages.protocol_total() + messages.recovery_total());
+    return std::make_pair(cluster.metrics().messages_per_request(),
+                          messages.recovery_total());
+  };
+  const auto [short_per_request, short_recovery] = run(SimTime::ms(30'000));
+  const auto [long_per_request, long_recovery] = run(SimTime::ms(120'000));
+  EXPECT_GT(short_per_request, 0.0);
+  EXPECT_DOUBLE_EQ(short_per_request, long_per_request);
+  EXPECT_GT(long_recovery, short_recovery);  // the heartbeats did run on
 }
 
 TEST(DriverDetail, SimulatedTimeIsPlausible) {

@@ -302,6 +302,7 @@ int run_chaos(const CliParser& cli) {
 
   const int ops = static_cast<int>(cli.get_int("ops", 1, 100000));
   long counter = 0;  // unprotected on purpose: the lock is the protection
+  std::atomic<bool> doctored{false};  // --doctor-stall-ms stalled a CS
   std::uint64_t messages_sent = 0;
   std::uint64_t receiver_errors = 0;
   std::string fault_counters;
@@ -380,14 +381,17 @@ int run_chaos(const CliParser& cli) {
           }
         });
       } else {
-        workers.emplace_back([&cluster, &counter, ops, i, doctor_stall_ms] {
+        workers.emplace_back([&cluster, &counter, &doctored, ops, i,
+                              doctor_stall_ms] {
           for (int k = 0; k < ops; ++k) {
             cluster.lock(proto::NodeId{i}, proto::LockId{0},
                          proto::LockMode::kW);
-            if (doctor_stall_ms > 0 && i == 0 && k == 0) {
-              // Doctored starvation: hold the exclusive lock long enough
-              // that every other node's wait blows past the watchdog
-              // threshold (CI proves the watchdog actually fires).
+            if (doctor_stall_ms > 0 && !doctored.exchange(true)) {
+              // Doctored starvation: the cluster's first critical section
+              // holds the exclusive lock long enough that every other
+              // node's wait blows past the watchdog threshold (CI proves
+              // the watchdog actually fires). Stalling one fixed worker's
+              // instead could miss: the others may finish before it starts.
               std::this_thread::sleep_for(
                   std::chrono::milliseconds(doctor_stall_ms));
             }
@@ -837,12 +841,15 @@ int main(int argc, char** argv) {
                   result.max_latency_ms);
       if (config.recovery.enabled) {
         std::printf("  recovery         : epoch %u, %llu recoveries "
-                    "(mean %.3f ms), %llu stale drops, %zu nodes killed\n",
+                    "(mean %.3f ms), %llu stale drops, %zu nodes killed, "
+                    "%llu recovery messages\n",
                     result.recovery_epoch,
                     static_cast<unsigned long long>(result.recoveries),
                     result.mean_recovery_ms,
                     static_cast<unsigned long long>(result.stale_drops),
-                    result.nodes_killed);
+                    result.nodes_killed,
+                    static_cast<unsigned long long>(
+                        result.recovery_messages));
       }
     }
     const auto buckets =
